@@ -41,12 +41,12 @@ def build(build_dir):
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True,
-                   choices=["kv-a", "shm-b", "durable-scan"])
+                   choices=["kv-a", "durable-scan"])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=int, required=True)
     p.add_argument("--trace", type=int, choices=[0, 1], default=0)
     p.add_argument("--skip-persist-all", action="store_true",
-                   help="negative control: crash kv-a/shm-b without "
+                   help="negative control: crash kv-a without "
                         "persist_all(); the crash check must fail")
     args = p.parse_args()
 

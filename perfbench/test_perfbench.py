@@ -56,7 +56,7 @@ class Benchmark(unittest.TestCase):
 
     def test_traced_run_reports_every_per_layer_metric(self):
         want = {m["name"]: m["unit"] for m in SPEC["per_layer"]}
-        p = run("--workload", "shm-b", "--seed", "7", "--seconds", "2",
+        p = run("--workload", "kv-a", "--seed", "7", "--seconds", "2",
                 "--trace", "1")
         self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
         r = result(p)
