@@ -80,27 +80,68 @@ EpochSys::EpochSys(alloc::PAllocator& pa, const Config& cfg)
   for (auto& b : epoch_begin_ns_) b.store(t_start, std::memory_order_relaxed);
 
   if (cfg.start_advancer) {
-    advancer_ = std::jthread([this](std::stop_token st) {
-      // The interruptible wait (instead of a bare sleep_for) lets
-      // request_stop() cut both the inter-epoch sleep and — via the
-      // stop-token-aware advance() — a step-1 wait stalled behind an
-      // announced thread, so destruction never hangs.
-      std::mutex mu;
-      std::condition_variable_any cv;
-      std::unique_lock lk(mu);
-      while (!st.stop_requested()) {
-        const auto us = epoch_length_us_.load(std::memory_order_relaxed);
-        cv.wait_for(lk, st, std::chrono::microseconds(us),
-                    [] { return false; });
-        if (st.stop_requested()) break;
-        // Parked by stall_advancer_for_testing: keep sleeping (and keep
-        // honouring stop requests) without advancing, exactly like a
-        // descheduled or dead advancer as far as workers can tell.
-        if (advancer_stalled_.load(std::memory_order_acquire)) continue;
-        advance(st);
-      }
-    });
+    has_advancer_ = true;
+    advancer_ = std::jthread([this](std::stop_token st) { advancer_main(st); });
   }
+}
+
+void EpochSys::advancer_main(const std::stop_token& st) {
+  // The interruptible waits (instead of a bare sleep_for) let
+  // request_stop() cut both the inter-epoch sleep and — via the
+  // stop-token-aware advance() — a step-1 wait stalled behind an
+  // announced thread, so destruction never hangs.
+  const auto demanded = [this] {
+    return advance_requested_.load(std::memory_order_relaxed) &&
+           !advancer_stalled_.load(std::memory_order_relaxed);
+  };
+  std::unique_lock lk(wake_mu_);
+  while (!st.stop_requested()) {
+    const std::uint64_t len_us = epoch_length_us();
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::microseconds(len_us);
+    // Early: a request woke the advancer before the epoch length ran out
+    // (a request that is pending when the timer fires rides the timer).
+    const bool early = wake_cv_.wait_until(lk, st, deadline, demanded) &&
+                       std::chrono::steady_clock::now() < deadline;
+    if (st.stop_requested()) break;
+    // Parked by stall_advancer_for_testing: keep sleeping (and keep
+    // honouring stop requests) without advancing, exactly like a
+    // descheduled or dead advancer as far as workers can tell. A pending
+    // request stays pending; the predicate ignores it until the stall
+    // lifts, so a stalled advancer sleeps instead of spinning.
+    if (advancer_stalled_.load(std::memory_order_relaxed)) continue;
+    if (early) {
+      // Demand cannot end an epoch sooner than a tenth of its length
+      // after the previous transition completed. The gap bounds the
+      // transition rate (and so the per-transition flush and counter
+      // persist) under constant demand, and gives a requester's peers
+      // time to park their writes in the epoch being closed.
+      const std::uint64_t not_before =
+          last_transition_ns_.load(std::memory_order_relaxed) +
+          len_us * 100;
+      const std::uint64_t now = now_ns();
+      if (not_before > now) {
+        wake_cv_.wait_for(lk, st, std::chrono::nanoseconds(not_before - now),
+                          [] { return false; });
+        if (st.stop_requested()) break;
+        if (advancer_stalled_.load(std::memory_order_relaxed)) continue;
+      }
+    }
+    // Requests posted from here on ask for the transition after this one.
+    advance_requested_.store(false, std::memory_order_relaxed);
+    lk.unlock();
+    advance(st, early ? AdvanceCause::kDemand : AdvanceCause::kTimer);
+    lk.lock();
+  }
+}
+
+void EpochSys::post_advance_request() {
+  {
+    std::lock_guard lk(wake_mu_);
+    if (advance_requested_.load(std::memory_order_relaxed)) return;
+    advance_requested_.store(true, std::memory_order_relaxed);
+  }
+  wake_cv_.notify_one();
 }
 
 EpochSys::~EpochSys() {
@@ -304,13 +345,15 @@ void EpochSys::pTrack(void* payload) {
       hdr, sizeof(*hdr) + static_cast<std::size_t>(hdr->user_size));
 }
 
-void EpochSys::advance() { advance(std::stop_token{}); }
+void EpochSys::advance() {
+  advance(std::stop_token{}, AdvanceCause::kExplicit);
+}
 
-void EpochSys::advance(const std::stop_token& st) {
+void EpochSys::advance(const std::stop_token& st, AdvanceCause cause) {
   // Transitions are serialized: the background advancer and explicit
   // advance()/persist_all() callers may overlap.
   std::scoped_lock lk(advance_mu_);
-  advance_locked(st);
+  advance_locked(st, cause);
 }
 
 std::uint64_t EpochSys::watchdog_deadline_ns() const {
@@ -345,7 +388,7 @@ void EpochSys::watchdog_check(ThreadState& ts) {
     last = last_transition_ns_.load(std::memory_order_relaxed);
     now = now_ns();
     if (now >= last && now - last >= deadline) {
-      advance_locked(std::stop_token{});
+      advance_locked(std::stop_token{}, AdvanceCause::kRescue);
       stats_.inline_advances.fetch_add(1, std::memory_order_relaxed);
       obs::trace_instant(obs::TraceEventType::kInlineAdvance,
                          global_epoch_.load(std::memory_order_relaxed));
@@ -359,7 +402,8 @@ void EpochSys::watchdog_check(ThreadState& ts) {
   ts.wd_next_attempt_ns = now_ns() + ts.wd_backoff_ns;
 }
 
-void EpochSys::advance_locked(const std::stop_token& st) {
+void EpochSys::advance_locked(const std::stop_token& st,
+                              AdvanceCause cause) {
   const std::uint64_t t_begin = now_ns();
   const std::uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
 
@@ -452,11 +496,17 @@ void EpochSys::advance_locked(const std::stop_token& st) {
   }
   to_free.clear();
   stats_.epochs_advanced.fetch_add(1, std::memory_order_relaxed);
+  if (cause == AdvanceCause::kDemand) {
+    static auto& demand_counter =
+        obs::Registry::global().counter("epoch.demand_advances");
+    stats_.demand_advances.fetch_add(1, std::memory_order_relaxed);
+    demand_counter.add(1);
+  }
 
   // Transition-latency distribution (EXPERIMENTS.md reports quantiles).
   stats_.advance_ns.record(now_ns() - t_begin);
   obs::trace_complete(obs::TraceEventType::kEpochAdvance, t_begin, e + 1,
-                      flushed_ranges);
+                      flushed_ranges, static_cast<std::uint32_t>(cause));
   // Feed the watchdog only on *completed* transitions (the early return
   // above skips this, so an advancer wedged in step 1 still counts as
   // stalled).

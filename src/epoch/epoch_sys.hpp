@@ -23,7 +23,8 @@
 //   * An operation that observes a block from a *newer* epoch must abort
 //     (OldSeeNewException) and restart via abortOp() + beginOp().
 //
-// Transition algorithm (advance(), executed once per epoch length):
+// Transition algorithm (advance(), executed at most one epoch length
+// apart; see "Clock" below):
 //   1. wait until no announced operation remains in epoch e-1;
 //   2. flush every write buffered in epoch e-1 and persist the DELETED
 //      headers of blocks retired in e-1;
@@ -39,6 +40,13 @@
 // runs fan out across a small flusher pool. A barrier before step 3
 // preserves the flush-before-counter ordering the BDL proof needs.
 //
+// Clock: the background advancer starts a transition when the epoch
+// length runs out, or earlier when a durable waiter asks for one
+// (request_advance(), Montage's sync() without the wait). A requested
+// transition starts no sooner than a tenth of the epoch length after the
+// previous one completed, so demand caps the transition rate at ten per
+// epoch length. Write-back stays on the advancer and its flusher pool.
+//
 // On an eADR device (persistent cache) flushing is unnecessary; the epoch
 // system disables its write-back work and keeps only the epoch clock and
 // deferred reclamation, as §4.3 describes for BD-Spash.
@@ -46,6 +54,7 @@
 
 #include <atomic>
 #include <cassert>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <stop_token>
@@ -71,8 +80,22 @@ inline constexpr std::uint8_t kOldSeeNewException = 0x51;
 /// Abort code for global-lock subscription failures (Listing 1 line 16).
 inline constexpr std::uint8_t kLockedException = 0x52;
 
+/// What started an epoch transition: the `cause` argument of the
+/// epoch.advance trace event.
+enum class AdvanceCause : std::uint8_t {
+  kExplicit = 0,  // advance() / persist_all() called directly
+  kTimer,         // the background advancer's epoch length ran out
+  kDemand,        // the background advancer, early, on request_advance()
+  kRescue,        // a worker, after a watchdog trip (inline_advances)
+};
+
 struct EpochStats {
   std::atomic<std::uint64_t> epochs_advanced{0};
+  /// Transitions the background advancer started early because a
+  /// durable waiter called request_advance(); the rest of its
+  /// transitions ran on the epoch-length timer. Mirrored as the
+  /// `epoch.demand_advances` registry counter.
+  std::atomic<std::uint64_t> demand_advances{0};
   /// Tracked ranges handed to the write-back pipeline (pre-coalescing).
   std::atomic<std::uint64_t> ranges_flushed{0};
   /// Bytes actually written back to the media by the pipeline
@@ -137,7 +160,10 @@ struct RecoveryReport {
 class EpochSys {
  public:
   struct Config {
-    /// Epoch length; the paper's default is 50 ms (§4), swept in Fig. 7/8.
+    /// Epoch length: the longest an epoch lasts. The paper's default is
+    /// 50 ms (§4), swept in Fig. 7/8. A durable waiter (request_advance())
+    /// can end an epoch once a tenth of this has passed since the
+    /// previous transition completed.
     std::uint64_t epoch_length_us = 50'000;
     /// Spawn the background advancer. Tests drive advance() manually.
     bool start_advancer = true;
@@ -261,14 +287,24 @@ class EpochSys {
   /// the system degenerates to an epoch clock + deferred reclamation).
   bool buffering_enabled() const { return !pa_.device().eadr(); }
 
-  /// One epoch transition (the advancer calls this once per epoch length).
+  /// One epoch transition, on the calling thread.
   void advance();
 
-  /// Stoppable variant used by the background advancer: if `st` is
-  /// signalled while step 1 waits out a stalled announced thread, the
-  /// transition is abandoned (no epoch is published) so shutdown cannot
-  /// hang behind it.
-  void advance(const std::stop_token& st);
+  /// Ask the background advancer to start the next transition early,
+  /// without waiting for it: Montage's sync() minus the wait. The
+  /// transition starts once a tenth of the epoch length has passed since
+  /// the previous one completed, and concurrent requests coalesce into
+  /// it. Callers that need durability (kDurable acks) call this while
+  /// they wait; the flush still runs on the advancer and its flusher
+  /// pool. A no-op without a background advancer; while the advancer is
+  /// stalled (stall_advancer_for_testing) a request stays pending. With
+  /// a request already pending this costs one relaxed load.
+  void request_advance() {
+    if (!has_advancer_ || advance_requested_.load(std::memory_order_relaxed)) {
+      return;
+    }
+    post_advance_request();
+  }
 
   /// Advance until everything buffered so far is durable. Callers must
   /// have quiesced operations. Used before planned shutdown and by the
@@ -300,7 +336,13 @@ class EpochSys {
   /// responsive, so shutdown is unaffected) to model a dead or
   /// descheduled advancer thread for watchdog tests.
   void stall_advancer_for_testing(bool stalled) {
-    advancer_stalled_.store(stalled, std::memory_order_release);
+    {
+      // Under the wake mutex, like every input of the advancer's wait
+      // predicate; a lifted stall then serves a pending request at once.
+      std::lock_guard lk(wake_mu_);
+      advancer_stalled_.store(stalled, std::memory_order_release);
+    }
+    wake_cv_.notify_one();
   }
 
   // ---- Recovery (§5.2) ----
@@ -477,8 +519,16 @@ class EpochSys {
   /// Returns the number of tracked ranges handed to the pipeline (the
   /// epoch-advance trace event reports it).
   std::uint64_t flush_stolen_buffers(int nthreads);
+  /// Stoppable transition: if `st` is signalled while step 1 waits out a
+  /// stalled announced thread, the transition is abandoned (no epoch is
+  /// published) so shutdown cannot hang behind it.
+  void advance(const std::stop_token& st, AdvanceCause cause);
   /// Transition body; caller holds advance_mu_.
-  void advance_locked(const std::stop_token& st);
+  void advance_locked(const std::stop_token& st, AdvanceCause cause);
+  /// Background advancer: a transition per epoch length, or earlier on
+  /// request_advance().
+  void advancer_main(const std::stop_token& st);
+  void post_advance_request();
   std::uint64_t watchdog_deadline_ns() const;
   void watchdog_check(ThreadState& ts);
 
@@ -517,6 +567,16 @@ class EpochSys {
   bool watchdog_enabled_ = false;
   std::uint64_t watchdog_timeout_us_ = 0;  // 0 = auto-scale with epoch length
   std::atomic<std::uint64_t> last_transition_ns_{0};
+
+  // ---- Advancer wake-up ----
+  // The advancer sleeps on wake_cv_ until the epoch length runs out or a
+  // request is pending and the advancer is not stalled. Both flags
+  // change only under wake_mu_, so no wake-up is lost; request_advance()
+  // reads advance_requested_ lock-free to skip a pending request.
+  bool has_advancer_ = false;
+  std::mutex wake_mu_;
+  std::condition_variable_any wake_cv_;
+  std::atomic<bool> advance_requested_{false};
   std::atomic<bool> advancer_stalled_{false};  // test hook
 
   std::jthread advancer_;  // last member: joins before the rest dies

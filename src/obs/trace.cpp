@@ -44,7 +44,7 @@ struct Ring {
 Padded<Ring> g_rings[kMaxThreads];
 
 void emit(TraceEventType t, std::uint64_t ts_ns, std::uint64_t dur_ns,
-          std::uint64_t a, std::uint64_t b) {
+          std::uint64_t a, std::uint64_t b, std::uint32_t c = 0) {
   Ring& r = g_rings[thread_id()].value;
   if (r.buf == nullptr) {
     // One-time per-thread allocation, off any loop worth measuring.
@@ -52,7 +52,7 @@ void emit(TraceEventType t, std::uint64_t ts_ns, std::uint64_t dur_ns,
     r.buf = std::make_unique<TraceEvent[]>(r.cap);
   }
   const std::uint64_t h = r.head.load(std::memory_order_relaxed);
-  r.buf[h & (r.cap - 1)] = TraceEvent{ts_ns, dur_ns, a, b, t};
+  r.buf[h & (r.cap - 1)] = TraceEvent{ts_ns, dur_ns, a, b, t, c};
   r.head.store(h + 1, std::memory_order_release);
   g_emitted.fetch_add(1, std::memory_order_relaxed);
 }
@@ -63,9 +63,10 @@ struct TypeInfo {
   const char* arg_a;
   const char* arg_b;
   bool complete;  // ph "X" (ts+dur) vs instant "i"
+  const char* arg_c = "";
 };
 constexpr TypeInfo kTypes[static_cast<int>(TraceEventType::kNumTypes)] = {
-    {"epoch.advance", "epoch", "epoch", "ranges", true},
+    {"epoch.advance", "epoch", "epoch", "ranges", true, "cause"},
     {"epoch.flush", "epoch", "runs", "lines", true},
     {"flusher.batch", "epoch", "part", "runs", true},
     {"watchdog.trip", "epoch", "deadline_ns", "stall_ns", false},
@@ -124,13 +125,13 @@ void trace_instant(TraceEventType t, std::uint64_t a, std::uint64_t b) {
 }
 
 void trace_complete(TraceEventType t, std::uint64_t start_ns, std::uint64_t a,
-                    std::uint64_t b) {
+                    std::uint64_t b, std::uint32_t c) {
   if (checked::enabled() && detail::in_tx_now()) {
     checked::violation(checked::Rule::kNoObsInTx, "obs::trace_complete");
   }
   if (!tracing_enabled()) return;
   const std::uint64_t now = now_ns();
-  emit(t, start_ns, now >= start_ns ? now - start_ns : 0, a, b);
+  emit(t, start_ns, now >= start_ns ? now - start_ns : 0, a, b, c);
 }
 
 std::uint64_t trace_events_emitted() {
@@ -213,6 +214,10 @@ std::string chrome_trace_json() {
         if (ti.arg_b[0] != '\0') {
           w.key(ti.arg_b);
           w.value(ev.b);
+        }
+        if (ti.arg_c[0] != '\0') {
+          w.key(ti.arg_c);
+          w.value(std::uint64_t{ev.c});
         }
         w.end_object();
         w.end_object();

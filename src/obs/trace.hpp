@@ -24,7 +24,9 @@
 namespace bdhtm::obs {
 
 enum class TraceEventType : std::uint16_t {
-  kEpochAdvance = 0,  // complete; a=epoch published, b=ranges flushed
+  kEpochAdvance = 0,  // complete; a=epoch published, b=ranges flushed,
+                      //   c=epoch::AdvanceCause (0 explicit, 1 timer,
+                      //   2 demand, 3 watchdog rescue)
   kEpochFlush,        // complete; a=line runs, b=lines written
   kFlusherBatch,      // complete; a=flusher part index, b=runs handled
   kWatchdogTrip,      // instant;  a=deadline_ns, b=ns since last transition
@@ -61,6 +63,7 @@ struct TraceEvent {
   std::uint64_t dur_ns;  // 0 for instant events
   std::uint64_t a, b;    // per-type args, see TraceEventType
   TraceEventType type;
+  std::uint32_t c;       // optional third arg (fits the padding)
 };
 
 /// Global switch; relaxed. Enable before the traced workload.
@@ -79,7 +82,8 @@ void trace_instant(TraceEventType t, std::uint64_t a = 0, std::uint64_t b = 0);
 /// Emit a spanned event that started at start_ns (caller sampled now_ns()
 /// before the work; duration is computed here).
 void trace_complete(TraceEventType t, std::uint64_t start_ns,
-                    std::uint64_t a = 0, std::uint64_t b = 0);
+                    std::uint64_t a = 0, std::uint64_t b = 0,
+                    std::uint32_t c = 0);
 
 /// Events emitted since process start / last reset (including ones the
 /// rings have since overwritten).

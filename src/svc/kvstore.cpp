@@ -310,7 +310,16 @@ void KVStore::release_parked(WorkerCtx& ctx, bool force_advance) {
       }
     }
     ctx.parked.resize(kept);
-    if (ctx.parked.empty() || !force_advance) return;
+    if (ctx.parked.empty()) return;
+    if (!force_advance) {
+      // Group commit: a worker holding parked releases (a batch it just
+      // parked, or ones this sweep left) asks the advancer to end the
+      // epoch early instead of waiting out its timer. Every parked
+      // request of every worker rides the same transition, and the flush
+      // stays on the advancer. Pending already: one relaxed load.
+      es_.request_advance();
+      return;
+    }
     // Drain-then-advance: at shutdown nobody else may move the epoch
     // forward, so the worker pushes durability out itself.
     es_.advance();

@@ -16,6 +16,13 @@
 //   kDurable  - parked until persisted_epoch >= completion epoch + 2,
 //               i.e. acknowledgements imply durability (strict-DL
 //               answer-time semantics over the same buffered machinery).
+//               While a worker holds parked releases it calls
+//               EpochSys::request_advance() (group commit): the advancer
+//               ends the epoch a tenth of the epoch length after the
+//               previous transition instead of at the full length, and
+//               one transition releases every parked request of every
+//               worker. The flush stays on the advancer; kBuffered
+//               stores never request a transition.
 //
 // Shutdown (close()) drains: workers finish every queued request, parked
 // durable releases are pushed out by advancing the epoch system, workers

@@ -57,6 +57,15 @@ void OCCABTree::unlock_node(Node* n) {
   n->version.fetch_add(1, std::memory_order_release);
 }
 
+namespace {
+// Seqlock read-side check: the acquire fence keeps the plain reads of the
+// node's fields before the version re-read.
+bool still_at(const std::atomic<std::uint64_t>& version, std::uint64_t v) {
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return version.load(std::memory_order_relaxed) == v;
+}
+}  // namespace
+
 void OCCABTree::persist_slot(Node* n, int i) {
   dev_.mark_dirty(&n->keys[i], 8);
   dev_.mark_dirty(&n->slots[i], 8);
@@ -64,21 +73,26 @@ void OCCABTree::persist_slot(Node* n, int i) {
   dev_.persist_nontxn(&n->slots[i], 8);
 }
 
-// Optimistic, lock-free descent: each node is read under its seqlock and
-// revalidated before the child pointer is trusted.
-OCCABTree::Node* OCCABTree::descend(std::uint64_t key) const {
+// Optimistic, lock-free descent (optimistic lock coupling): each node is
+// read under its seqlock, and a parent is re-validated only AFTER the
+// child's version has been read. A split keeps the split node
+// write-locked until its separator is in the parent (split_leaf,
+// insert_separator), so a reader either finds the child locked or sees
+// the parent's version move. Validating the parent before reading the
+// child let a reader that read the parent before a split trust the split
+// child afterwards: the route then led to a leaf that no longer covered
+// the key, and an insert placed there was never found again.
+OCCABTree::LeafRef OCCABTree::descend(std::uint64_t key) const {
   for (;;) {
-    Node* n = node_at(proot_->root_off);
+    const std::uint64_t off = root_off();
+    Node* n = node_at(off);
+    std::uint64_t v = n->version.load(std::memory_order_acquire);
+    // The root pointer changes only while the old root is write-locked,
+    // so an unchanged pointer after the version read validates it.
+    if (root_off() != off) continue;
     bool restart = false;
-    while (true) {
-      if (n->is_leaf) {
-        // Returned without a version check: the caller validates (under
-        // its own lock or a seqlock read) — and may itself hold the
-        // leaf's lock during route re-validation.
-        return n;
-      }
-      const std::uint64_t v1 = n->version.load(std::memory_order_acquire);
-      if (v1 & 1) {
+    while (!n->is_leaf) {
+      if (v & 1) {
         restart = true;
         break;
       }
@@ -87,14 +101,22 @@ OCCABTree::Node* OCCABTree::descend(std::uint64_t key) const {
       int i = 0;
       while (i < static_cast<int>(cnt) - 1 && key >= n->keys[i]) ++i;
       Node* child = node_at(n->slots[i]);
-      if (n->version.load(std::memory_order_acquire) != v1 ||
-          child == nullptr) {
+      if (!still_at(n->version, v) || child == nullptr) {
+        restart = true;
+        break;
+      }
+      const std::uint64_t cv = child->version.load(std::memory_order_acquire);
+      if (!still_at(n->version, v)) {
         restart = true;
         break;
       }
       n = child;
+      v = cv;
     }
-    if (!restart) return n;
+    // A leaf's version is reported, not checked: the caller validates
+    // (under its own lock or a seqlock read) and may itself hold the
+    // leaf's lock during route re-validation.
+    if (!restart) return {n, v};
   }
 }
 
@@ -104,10 +126,10 @@ bool OCCABTree::insert(std::uint64_t key, std::uint64_t value) {
 
 bool OCCABTree::do_insert(std::uint64_t key, std::uint64_t value) {
   for (;;) {
-    Node* leaf = descend(key);
+    Node* leaf = descend(key).leaf;
     lock_node(leaf);
     // Validate the route: the leaf may have split under us.
-    if (descend(key) != leaf) {
+    if (descend(key).leaf != leaf) {
       unlock_node(leaf);
       continue;
     }
@@ -140,9 +162,9 @@ bool OCCABTree::do_insert(std::uint64_t key, std::uint64_t value) {
 
 void OCCABTree::split_leaf(std::uint64_t key) {
   std::scoped_lock slk(structure_mu_);
-  Node* leaf = descend(key);
+  Node* leaf = descend(key).leaf;
   lock_node(leaf);
-  if (descend(key) != leaf || leaf->count < kB) {
+  if (descend(key).leaf != leaf || leaf->count < kB) {
     unlock_node(leaf);
     return;  // someone else already made room
   }
@@ -171,6 +193,7 @@ void OCCABTree::split_leaf(std::uint64_t key) {
   dev_.mark_dirty(leaf, sizeof(Node));
   dev_.persist_nontxn(leaf, sizeof(Node));
 
+  // The leaf stays locked until its separator is in the parent.
   insert_separator(entries[keep].first, right);
   unlock_node(leaf);
 }
@@ -179,8 +202,10 @@ void OCCABTree::insert_separator(std::uint64_t sep, Node* right) {
   // Caller holds structure_mu_. Walk down from the root recording the
   // path, insert (sep, right), splitting internals as needed. Every
   // modified node is locked (odd version) during its change so
-  // optimistic readers retry, and persisted afterwards.
-  Node* root = node_at(proot_->root_off);
+  // optimistic readers retry, and persisted afterwards. A split internal
+  // node stays locked until its own separator is in its parent: until
+  // then its upper keys are reachable from no route.
+  Node* root = node_at(root_off());
   if (root->is_leaf) {
     Node* nr = make_node(false);
     nr->count = 2;
@@ -189,7 +214,7 @@ void OCCABTree::insert_separator(std::uint64_t sep, Node* right) {
     nr->slots[1] = off_of(right);
     dev_.mark_dirty(nr, sizeof(Node));
     dev_.persist_nontxn(nr, sizeof(Node));
-    proot_->root_off = off_of(nr);
+    set_root_off(off_of(nr));
     dev_.mark_dirty(proot_, sizeof(PRoot));
     dev_.persist_nontxn(proot_, sizeof(PRoot));
     return;
@@ -205,6 +230,7 @@ void OCCABTree::insert_separator(std::uint64_t sep, Node* right) {
   }
   std::uint64_t carry_key = sep;
   std::uint64_t carry_off = off_of(right);
+  Node* split = nullptr;  // locked, its separator is carry_key
   for (int d = depth - 1; d >= 0; --d) {
     Node* node = path[d];
     lock_node(node);
@@ -222,6 +248,7 @@ void OCCABTree::insert_separator(std::uint64_t sep, Node* right) {
       dev_.mark_dirty(node, sizeof(Node));
       dev_.persist_nontxn(node, sizeof(Node));
       unlock_node(node);
+      if (split != nullptr) unlock_node(split);
       return;
     }
     // Split this internal node.
@@ -250,20 +277,24 @@ void OCCABTree::insert_separator(std::uint64_t sep, Node* right) {
     for (int i = 0; i < left_count - 1; ++i) node->keys[i] = tk[i];
     dev_.mark_dirty(node, sizeof(Node));
     dev_.persist_nontxn(node, sizeof(Node));
-    unlock_node(node);
+    // The lower level's separator is in place (in node or rnode, and
+    // node stays locked until rnode is linked).
+    if (split != nullptr) unlock_node(split);
+    split = node;
     carry_key = tk[left_count - 1];
     carry_off = off_of(rnode);
     if (d == 0) {
       Node* nr = make_node(false);
       nr->count = 2;
       nr->keys[0] = carry_key;
-      nr->slots[0] = proot_->root_off;
+      nr->slots[0] = off_of(node);
       nr->slots[1] = carry_off;
       dev_.mark_dirty(nr, sizeof(Node));
       dev_.persist_nontxn(nr, sizeof(Node));
-      proot_->root_off = off_of(nr);
+      set_root_off(off_of(nr));
       dev_.mark_dirty(proot_, sizeof(PRoot));
       dev_.persist_nontxn(proot_, sizeof(PRoot));
+      unlock_node(node);
       return;
     }
   }
@@ -273,9 +304,9 @@ bool OCCABTree::remove(std::uint64_t key) { return do_remove(key); }
 
 bool OCCABTree::do_remove(std::uint64_t key) {
   for (;;) {
-    Node* leaf = descend(key);
+    Node* leaf = descend(key).leaf;
     lock_node(leaf);
-    if (descend(key) != leaf) {
+    if (descend(key).leaf != leaf) {
       unlock_node(leaf);
       continue;
     }
@@ -301,8 +332,10 @@ bool OCCABTree::do_remove(std::uint64_t key) {
 
 std::optional<std::uint64_t> OCCABTree::find(std::uint64_t key) {
   for (;;) {
-    Node* leaf = descend(key);
-    const std::uint64_t v1 = leaf->version.load(std::memory_order_acquire);
+    // The version comes from descend(), read before the parent was last
+    // validated: a split that finished before this point moved the
+    // parent's version, so the route covers `key` at version v1.
+    const auto [leaf, v1] = descend(key);
     if (v1 & 1) continue;
     dev_.account_read();
     std::optional<std::uint64_t> out;
@@ -312,13 +345,13 @@ std::optional<std::uint64_t> OCCABTree::find(std::uint64_t key) {
         break;
       }
     }
-    if (leaf->version.load(std::memory_order_acquire) == v1) return out;
+    if (still_at(leaf->version, v1)) return out;
   }
 }
 
 std::optional<std::pair<std::uint64_t, std::uint64_t>> OCCABTree::successor(
     std::uint64_t key) {
-  Node* leaf = descend(key);
+  Node* leaf = descend(key).leaf;
   while (leaf != nullptr) {
     for (;;) {
       const std::uint64_t v1 =
@@ -334,7 +367,7 @@ std::optional<std::pair<std::uint64_t, std::uint64_t>> OCCABTree::successor(
         }
       }
       const std::uint64_t next = leaf->next_off;
-      if (leaf->version.load(std::memory_order_acquire) != v1) continue;
+      if (!still_at(leaf->version, v1)) continue;
       if (best_k != ~std::uint64_t{0}) return std::pair{best_k, best_v};
       leaf = node_at(next);
       break;

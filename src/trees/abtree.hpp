@@ -73,8 +73,22 @@ class OCCABTree {
     return static_cast<std::uint64_t>(
                reinterpret_cast<const std::byte*>(n) - dev_.base()) + 1;
   }
+  /// A leaf and the version it carried when the route to it was last
+  /// validated (odd: a writer, possibly the caller, holds it).
+  struct LeafRef {
+    Node* leaf;
+    std::uint64_t version;
+  };
   /// Optimistic descent to the leaf covering `key`; retries internally.
-  Node* descend(std::uint64_t key) const;
+  LeafRef descend(std::uint64_t key) const;
+  std::uint64_t root_off() const {
+    return std::atomic_ref<std::uint64_t>(proot_->root_off)
+        .load(std::memory_order_acquire);
+  }
+  void set_root_off(std::uint64_t off) {
+    std::atomic_ref<std::uint64_t>(proot_->root_off)
+        .store(off, std::memory_order_release);
+  }
   bool lock_node(Node* n);       // returns false if deleted/retired
   void unlock_node(Node* n);     // version += 1 (back to even)
   void persist_slot(Node* n, int i);

@@ -3,8 +3,10 @@
 // crash-consistency property.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <ctime>
 #include <map>
 #include <memory>
 #include <set>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "alloc/pallocator.hpp"
+#include "common/spin.hpp"
 #include "epoch/epoch_sys.hpp"
 #include "nvm/device.hpp"
 
@@ -663,6 +666,141 @@ TEST(EpochWatchdog, DisabledWithoutAdvancer) {
   }
   EXPECT_EQ(es.stats().watchdog_trips.load(), 0u);
   EXPECT_EQ(es.stats().inline_advances.load(), 0u);
+}
+
+// ---- Demand-driven transitions (request_advance) ----
+
+std::uint64_t process_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
+EpochSys::Config advancer_cfg(std::uint64_t epoch_length_us) {
+  EpochSys::Config cfg;
+  cfg.start_advancer = true;
+  cfg.epoch_length_us = epoch_length_us;
+  return cfg;
+}
+
+// Waits up to `limit` for epochs_advanced to exceed `floor`.
+bool advanced_past(const EpochSys& es, std::uint64_t floor,
+                   std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (es.stats().epochs_advanced.load() <= floor) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(EpochDemand, ConstantRequestsNeverBeatTheGap) {
+  // Every transition starts at least epoch_length / 10 after the previous
+  // one completed, so any window W holds at most W / gap + 1 of them.
+  nvm::Device dev(tiny());
+  PAllocator pa(dev);
+  constexpr std::uint64_t kEpochUs = 20'000;
+  constexpr std::uint64_t kGapNs = kEpochUs * 1000 / 10;
+  EpochSys es(pa, advancer_cfg(kEpochUs));
+  std::atomic<bool> stop{false};
+  std::thread requester([&] {
+    // Re-posts within 50 us of each transition start: a request is
+    // pending almost all the time, without taking a core from the suite.
+    while (!stop.load(std::memory_order_relaxed)) {
+      es.request_advance();
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  struct Sample {
+    std::uint64_t t_before, epochs, t_after;
+  };
+  std::vector<Sample> samples;
+  const std::uint64_t t_end = now_ns() + 300'000'000ULL;
+  while (now_ns() < t_end) {
+    Sample smp;
+    smp.t_before = now_ns();
+    smp.epochs = es.stats().epochs_advanced.load();
+    smp.t_after = now_ns();
+    samples.push_back(smp);
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  stop.store(true);
+  requester.join();
+  // The transitions counted between samples i and j completed inside
+  // [t_before_i, t_after_j].
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    for (std::size_t j = i + 1; j < samples.size(); ++j) {
+      const std::uint64_t window = samples[j].t_after - samples[i].t_before;
+      ASSERT_LE(samples[j].epochs - samples[i].epochs, window / kGapNs + 1)
+          << "window of " << window << " ns";
+    }
+  }
+  EXPECT_GT(es.stats().demand_advances.load(), 0u);
+}
+
+TEST(EpochDemand, NoAdvancerIgnoresRequests) {
+  Env env(tiny());  // start_advancer = false: tests drive advance()
+  const auto e0 = env.es->current_epoch();
+  for (int i = 0; i < 10'000; ++i) env.es->request_advance();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(env.es->current_epoch(), e0);
+  EXPECT_EQ(env.es->stats().epochs_advanced.load(), 0u);
+  EXPECT_EQ(env.es->stats().demand_advances.load(), 0u);
+}
+
+TEST(EpochDemand, StalledAdvancerKeepsRequestPendingWithoutSpinning) {
+  nvm::Device dev(tiny());
+  PAllocator pa(dev);
+  EpochSys es(pa, advancer_cfg(2'000'000));
+  es.stall_advancer_for_testing(true);
+  const std::uint64_t e0 = es.stats().epochs_advanced.load();
+  es.request_advance();
+  // A pending request must not wake a stalled advancer in a loop: the
+  // process stays (nearly) idle while the request waits.
+  const std::uint64_t cpu0 = process_cpu_ns();
+  const std::uint64_t wall0 = now_ns();
+  for (int i = 0; i < 100; ++i) {
+    es.request_advance();
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  }
+  const std::uint64_t cpu = process_cpu_ns() - cpu0;
+  const std::uint64_t wall = now_ns() - wall0;
+  EXPECT_LT(cpu, wall / 2) << "a stalled advancer is spinning";
+  EXPECT_EQ(es.stats().epochs_advanced.load(), e0);
+  // Lifting the stall serves the pending request well before the 2 s
+  // epoch length runs out.
+  es.stall_advancer_for_testing(false);
+  ASSERT_TRUE(advanced_past(es, e0, std::chrono::milliseconds(1500)));
+  EXPECT_EQ(es.stats().demand_advances.load(), 1u);
+}
+
+TEST(EpochDemand, ConcurrentRequestsCoalesce) {
+  // TSan target: requesters on several threads race one another and the
+  // advancer's wait; all of them ride one transition.
+  nvm::Device dev(tiny());
+  PAllocator pa(dev);
+  EpochSys es(pa, advancer_cfg(2'000'000));
+  es.stall_advancer_for_testing(true);
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> ths;
+  for (int t = 0; t < kThreads; ++t) {
+    ths.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < 1000; ++i) es.request_advance();
+    });
+  }
+  for (auto& th : ths) th.join();
+  const std::uint64_t e0 = es.stats().epochs_advanced.load();
+  es.stall_advancer_for_testing(false);
+  ASSERT_TRUE(advanced_past(es, e0, std::chrono::milliseconds(1500)));
+  // Two gaps (200 ms each): a request left pending after the transition
+  // would have started another one by now.
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  EXPECT_EQ(es.stats().epochs_advanced.load(), e0 + 1);
+  EXPECT_EQ(es.stats().demand_advances.load(), 1u);
 }
 
 }  // namespace

@@ -449,7 +449,8 @@ TEST(ObsTrace, ChromeTraceJsonIsValidAndComplete) {
   obs::reset_traces();
   obs::set_tracing(true);
   const std::uint64_t t0 = now_ns();
-  obs::trace_complete(obs::TraceEventType::kEpochAdvance, t0, 7, 3);
+  obs::trace_complete(obs::TraceEventType::kEpochAdvance, t0, 7, 3,
+                      static_cast<std::uint32_t>(epoch::AdvanceCause::kDemand));
   obs::trace_instant(obs::TraceEventType::kWatchdogTrip, 100, 200);
   obs::set_tracing(false);
 
@@ -465,6 +466,8 @@ TEST(ObsTrace, ChromeTraceJsonIsValidAndComplete) {
   // The instant's args carry the values we emitted.
   EXPECT_NE(json.find("\"deadline_ns\":100"), std::string::npos);
   EXPECT_NE(json.find("\"stall_ns\":200"), std::string::npos);
+  // The transition names its cause (2 = demand).
+  EXPECT_NE(json.find("\"cause\":2"), std::string::npos);
 }
 
 TEST(ObsTrace, WriteChromeTraceRoundTrips) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <optional>
@@ -24,12 +25,14 @@ namespace bdhtm {
 namespace {
 
 struct SvcWorld {
-  explicit SvcWorld(bool manual_epochs = false) {
+  explicit SvcWorld(bool manual_epochs = false,
+                    std::uint64_t epoch_length_us = 0) {
     nvm::DeviceConfig dcfg;
     dcfg.capacity = 64ull << 20;
     dev = std::make_unique<nvm::Device>(dcfg);
     pa = std::make_unique<alloc::PAllocator>(*dev);
     epoch::EpochSys::Config ecfg;
+    if (epoch_length_us != 0) ecfg.epoch_length_us = epoch_length_us;
     if (manual_epochs) {
       ecfg.start_advancer = false;
       ecfg.flusher_threads = 1;
@@ -392,6 +395,49 @@ TEST(Svc, DurableReleaseImpliesPersistence) {
     EXPECT_GE(w.es->persisted_epoch(), r.complete_epoch + 2)
         << "kDurable acknowledgement implies durability";
   }
+}
+
+TEST(Svc, DurableAckEndsEpochEarly) {
+  // Group commit: a parked kDurable release asks the advancer for the
+  // next transition, so the ack needs two transitions a tenth of the 1 s
+  // epoch apart instead of one to two full epochs.
+  SvcWorld w(/*manual_epochs=*/false, /*epoch_length_us=*/1'000'000);
+  svc::KVStoreConfig cfg = small_cfg(svc::Backend::kHash);
+  cfg.release = svc::ReleasePolicy::kDurable;
+  svc::KVStore store(*w.es, cfg);
+  obs::Counter& demand =
+      obs::Registry::global().counter("epoch.demand_advances");
+  const std::uint64_t demand0 = demand.total();
+  svc::Request r = svc::Request::put(7, 70);
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(store.submit(0, &r));
+  store.wait(&r);
+  const auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(r.status, svc::Status::kOk);
+  EXPECT_LT(took, std::chrono::milliseconds(600));
+  EXPECT_GE(w.es->persisted_epoch(), r.complete_epoch + 2)
+      << "kDurable acknowledgement implies durability";
+  EXPECT_GE(w.es->stats().demand_advances.load(), 1u);
+  if (!obs::kNoop) {
+    EXPECT_GT(demand.total(), demand0);  // the registry mirror
+  }
+}
+
+TEST(Svc, BufferedStoreRequestsNoTransition) {
+  SvcWorld w(/*manual_epochs=*/false, /*epoch_length_us=*/1'000'000);
+  svc::KVStore store(*w.es, small_cfg(svc::Backend::kHash));
+  const std::uint64_t e0 = w.es->stats().epochs_advanced.load();
+  const auto t_end =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  std::uint64_t k = 0;
+  while (std::chrono::steady_clock::now() < t_end) {
+    ASSERT_EQ(store.put(0, k % 512, k).status, svc::Status::kOk);
+    ++k;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Only the 1 s timer may move the epoch: at most once in 300 ms.
+  EXPECT_LE(w.es->stats().epochs_advanced.load() - e0, 1u);
+  EXPECT_EQ(w.es->stats().demand_advances.load(), 0u);
 }
 
 TEST(Svc, SubmitShutdownRace) {

@@ -4,6 +4,7 @@
 // elimination path.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <thread>
@@ -234,11 +235,24 @@ TEST(ElimABTreeTest, EliminationFiresUnderInsertRemovePairs) {
   alloc::PAllocator pa(dev);
   ElimABTree t(dev, pa);
   // Hammer a single hot key with paired insert/remove from two threads.
-  std::thread inserter([&t] {
+  // Elimination needs the two to overlap: they start together, and the
+  // remover keeps going while the inserter runs (on a loaded host a
+  // remover that finished its 30000 cheap removes before the inserter
+  // was scheduled saw nothing to eliminate).
+  std::atomic<int> ready{0};
+  std::atomic<bool> inserting{true};
+  auto start_together = [&ready] {
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+  };
+  std::thread inserter([&] {
+    start_together();
     for (int i = 0; i < 30000; ++i) t.insert(7, 70);
+    inserting.store(false);
   });
-  std::thread remover([&t] {
-    for (int i = 0; i < 30000; ++i) t.remove(7);
+  std::thread remover([&] {
+    start_together();
+    for (int i = 0; i < 30000 || inserting.load(); ++i) t.remove(7);
   });
   inserter.join();
   remover.join();
