@@ -264,7 +264,7 @@ Cell run_cell(svc::Backend b, int stripes, const workload::Config& cfg,
   // Deterministic collateral probe, scheduler-free by construction: hold
   // one hot batch's footprint (as a slow fallback would), then run one
   // subscribe-only transaction per other hot key and count which abort
-  // on the subscription. Same thread holds and probes — ElidedLock
+  // on the subscription. Same thread holds and probes — a policy
   // subscription tests the lock WORD, not ownership — so the counts
   // depend only on footprint geometry, identical on any host. This is
   // the quantity CI asserts on.

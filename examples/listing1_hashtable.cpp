@@ -6,8 +6,8 @@
 //   - the transaction: lock subscription, epoch stamping, the three-way
 //     epoch comparison (OldSeeNewException / out-of-place replace /
 //     in-place update) (lines 14-37),
-//   - abort handling: OldSeeNewException restarts in a new epoch, Locked
-//     spins, other causes retry then take the global-lock fallback
+//   - abort handling: OldSeeNewException restarts in a new epoch, a held
+//     lock spins, other causes retry then take the global-lock fallback
 //     (lines 38-49),
 //   - the op_done epilogue: pRetire/pTrack strictly after the commit
 //     (lines 50-55).
@@ -19,6 +19,7 @@
 #include "common/rng.hpp"
 #include "epoch/kvpair.hpp"
 #include "htm/engine.hpp"
+#include "htm/fallback.hpp"
 #include "nvm/device.hpp"
 
 using namespace bdhtm;
@@ -37,7 +38,7 @@ struct SimpleTable {
 };
 
 epoch::EpochSys* esys;
-htm::ElidedLock global_lock;
+htm::FallbackPolicy global_lock;  // one stripe: the paper's global lock
 thread_local KVPair* new_blk;
 thread_local KVPair* retire_blk;
 thread_local KVPair* persist_blk;
@@ -56,7 +57,7 @@ retry_regist:
   int attempts = 0;
 retry_txn:
   const unsigned status = htm::run([&](htm::Txn& tx) {     // line 14
-    global_lock.subscribe(tx, epoch::kLockedException);    // line 16
+    global_lock.subscribe(tx, global_lock.all());          // line 16
     epoch::EpochSys::set_epoch_tx(tx, esys->device(), new_blk,
                                   op_epoch);               // line 17
     KVPair* found = nullptr;
@@ -73,7 +74,7 @@ retry_txn:
         const std::uint64_t e =
             epoch::EpochSys::get_epoch_tx(tx, found);      // line 21
         if (e > op_epoch) {
-          tx.abort(epoch::kOldSeeNewException);            // line 23
+          tx.abort(htm::kOldSeeNewCode);                   // line 23
         } else if (e < op_epoch) {                         // lines 24-28
           retire_blk = found;
           tx.store(&table->blocks[bucket][i],
@@ -95,13 +96,14 @@ retry_txn:
 
   if (status != htm::kCommitted) {                         // lines 38-49
     if ((status & htm::kAbortExplicit) &&
-        htm::explicit_code(status) == epoch::kOldSeeNewException) {
+        htm::explicit_code(status) == htm::kOldSeeNewCode) {
       esys->abortOp();                                     // line 40
       goto retry_regist;                                   // line 41
     }
     if ((status & htm::kAbortExplicit) &&
-        htm::explicit_code(status) == epoch::kLockedException) {
-      global_lock.wait_until_free();                       // line 43
+        htm::explicit_code(status) == htm::kLockSubscriptionCode) {
+      while (global_lock.any_locked(global_lock.all())) {  // line 43
+      }
       goto retry_txn;                                      // line 44
     }
     if (++attempts < 8) goto retry_txn;

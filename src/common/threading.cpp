@@ -79,7 +79,13 @@ FlusherPool::FlusherPool(int workers) : impl_(std::make_unique<Impl>()) {
 }
 
 FlusherPool::~FlusherPool() {
-  for (auto& t : impl_->threads) t.request_stop();
+  {
+    // Raise the stop under mu: a helper holds mu from its predicate
+    // check until it sleeps, so a stop (and its wakeup) raised in that
+    // window without mu would be lost and the join below would hang.
+    std::scoped_lock lk(impl_->mu);
+    for (auto& t : impl_->threads) t.request_stop();
+  }
   impl_->work_cv.notify_all();
   // jthread destructors join.
 }

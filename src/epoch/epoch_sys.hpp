@@ -74,12 +74,6 @@ namespace bdhtm::epoch {
 
 using alloc::kInvalidEpoch;
 
-/// Abort code used with Txn::abort() when an operation in an old epoch
-/// sees a block stamped by a newer epoch (paper Listing 1 line 23).
-inline constexpr std::uint8_t kOldSeeNewException = 0x51;
-/// Abort code for global-lock subscription failures (Listing 1 line 16).
-inline constexpr std::uint8_t kLockedException = 0x52;
-
 /// What started an epoch transition: the `cause` argument of the
 /// epoch.advance trace event.
 enum class AdvanceCause : std::uint8_t {

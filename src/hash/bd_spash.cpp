@@ -11,11 +11,10 @@
 namespace bdhtm::hash {
 
 using epoch::KVPair;
-using epoch::kOldSeeNewException;
+using htm::kOldSeeNewCode;
 
 namespace {
 constexpr std::uint8_t kFullBucket = 0x62;
-constexpr int kMaxTxnRetries = 16;
 
 std::uint64_t mix(std::uint64_t key) { return splitmix64(key); }
 
@@ -97,8 +96,6 @@ BDSpash::Bucket& BDSpash::locate(Acc& acc, std::uint64_t h) {
 template <typename Body, typename Prep>
 bool BDSpash::mutate(std::uint64_t h, Body&& body, Prep&& prep) {
   const htm::StripeMask mask = policy_.mask_of_hash(h);
-  htm::ElideOptions opts;
-  opts.max_retries = kMaxTxnRetries;
   for (;;) {  // retry_regist
     const std::uint64_t op_epoch = es_.beginOp();
     prep(op_epoch);
@@ -106,19 +103,16 @@ bool BDSpash::mutate(std::uint64_t h, Body&& body, Prep&& prep) {
     bool restart_epoch = false;
 
     try {
-      htm::elide<bool>(
-          policy_, mask,
-          [&](auto& acc) -> bool {
-            ctl = OpCtl{};
-            body(acc, op_epoch, ctl);
-            return true;
-          },
-          opts);
+      htm::elide<bool>(policy_, mask, [&](auto& acc) -> bool {
+        ctl = OpCtl{};
+        body(acc, op_epoch, ctl);
+        return true;
+      });
     } catch (const htm::FallbackRestart& fr) {
       if (fr.code == kFullBucket) {
         ctl.full = true;
       } else {
-        assert(fr.code == kOldSeeNewException);
+        assert(fr.code == kOldSeeNewCode);
         restart_epoch = true;
       }
     }
@@ -253,7 +247,7 @@ bool BDSpash::insert(std::uint64_t key, std::uint64_t value) {
       h,
       [&](auto& acc, std::uint64_t op_epoch, OpCtl& ctl) {
         insert_in_tx(acc, op_epoch, h, key, value, tc.new_blk, ctl);
-        if (ctl.stale) acc.fail(kOldSeeNewException);
+        if (ctl.stale) acc.fail(kOldSeeNewCode);
         if (ctl.full) acc.fail(kFullBucket);
       },
       [&](std::uint64_t) {
@@ -275,7 +269,7 @@ bool BDSpash::remove(std::uint64_t key) {
       h,
       [&](auto& acc, std::uint64_t op_epoch, OpCtl& ctl) {
         remove_in_tx(acc, op_epoch, h, key, ctl);
-        if (ctl.stale) acc.fail(kOldSeeNewException);
+        if (ctl.stale) acc.fail(kOldSeeNewCode);
       },
       [](std::uint64_t) {});
 }
@@ -413,7 +407,7 @@ void BDSpash::apply_batch(epoch::BatchOp* ops, std::size_t n) {
               get_in_tx(acc, h, op.key, ctl);
               break;
           }
-          if (ctl.stale) acc.fail(kOldSeeNewException);
+          if (ctl.stale) acc.fail(kOldSeeNewCode);
           if (ctl.full) {
             fail_h = h;
             acc.fail(kFullBucket);
@@ -428,7 +422,7 @@ void BDSpash::apply_batch(epoch::BatchOp* ops, std::size_t n) {
         split(fail_h);  // retry the unapplied suffix against the new layout
         continue;
       }
-      assert(fr.code == kOldSeeNewException);
+      assert(fr.code == kOldSeeNewCode);
       finish_batch(ops, fb_applied, n);
       throw epoch::EnvelopeRestart{fb_applied};
     }

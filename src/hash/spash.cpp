@@ -49,7 +49,7 @@ bool Spash::insert(std::uint64_t key, std::uint64_t value) {
     bool full = false;
     std::uint64_t* hit_val = nullptr;
     try {
-      htm::elide<int>(lock_, [&](auto& acc) {
+      htm::elide<int>(policy_, policy_.all(), [&](auto& acc) {
         is_new = false;
         full = false;
         hit_val = nullptr;
@@ -116,7 +116,7 @@ void Spash::demote_cold(std::uint64_t key, std::uint64_t value,
       reinterpret_cast<std::uint64_t>(entry) | kIndirect;
 
   // Swing the slot to the indirection (only if it still holds `value`).
-  (void)htm::elide<int>(lock_, [&](auto& acc) {
+  (void)htm::elide<int>(policy_, policy_.all(), [&](auto& acc) {
     auto* dir = reinterpret_cast<std::uint64_t*>(acc.load(&dir_ptr_));
     const std::uint64_t gd = acc.load(&global_depth_);
     auto* seg = reinterpret_cast<Segment*>(
@@ -137,7 +137,7 @@ void Spash::demote_cold(std::uint64_t key, std::uint64_t value,
 
 bool Spash::remove(std::uint64_t key) {
   const std::uint64_t h = mix(key);
-  return htm::elide<bool>(lock_, [&](auto& acc) {
+  return htm::elide<bool>(policy_, policy_.all(), [&](auto& acc) {
     auto* dir = reinterpret_cast<std::uint64_t*>(acc.load(&dir_ptr_));
     const std::uint64_t gd = acc.load(&global_depth_);
     auto* seg = reinterpret_cast<Segment*>(
@@ -157,7 +157,7 @@ std::optional<std::uint64_t> Spash::find(std::uint64_t key) {
   const std::uint64_t h = mix(key);
   hotspot_.touch(h);
   return htm::elide<std::optional<std::uint64_t>>(
-      lock_, [&](auto& acc) -> std::optional<std::uint64_t> {
+      policy_, policy_.all(), [&](auto& acc) -> std::optional<std::uint64_t> {
         auto* dir = reinterpret_cast<std::uint64_t*>(acc.load(&dir_ptr_));
         const std::uint64_t gd = acc.load(&global_depth_);
         auto* seg = reinterpret_cast<Segment*>(
@@ -180,7 +180,7 @@ std::optional<std::uint64_t> Spash::find(std::uint64_t key) {
 }
 
 void Spash::split(std::uint64_t h) {
-  htm::FallbackGuard guard(lock_);
+  htm::PolicyGuard guard(policy_, policy_.all());
   // Re-evaluate under the lock; the bucket may have been split already.
   const std::uint64_t gd = htm::nontx_load(&global_depth_);
   auto* dir = reinterpret_cast<std::uint64_t*>(htm::nontx_load(&dir_ptr_));

@@ -11,10 +11,11 @@
 // media is always written at XPLine granularity.
 //
 // Every operation runs as one hardware transaction with the usual
-// global-lock fallback; directory doubling and segment splits run under
-// a brief global lock (the paper performs segment migration in the
-// background with worker assist; the simplification is documented in
-// DESIGN.md and does not change the throughput shape at our scales).
+// global-lock fallback (a 1-stripe htm::FallbackPolicy); directory
+// doubling and segment splits run under a brief global lock (the paper
+// performs segment migration in the background with worker assist; the
+// simplification is documented in DESIGN.md and does not change the
+// throughput shape at our scales).
 //
 // Values must keep bit 63 clear (indirection flag).
 #pragma once
@@ -27,7 +28,7 @@
 #include "alloc/pallocator.hpp"
 #include "common/threading.hpp"
 #include "hash/hotspot.hpp"
-#include "htm/engine.hpp"
+#include "htm/fallback.hpp"
 #include "nvm/device.hpp"
 
 namespace bdhtm::hash {
@@ -76,7 +77,7 @@ class Spash {
 
   alloc::PAllocator& pa_;
   nvm::Device& dev_;
-  htm::ElidedLock lock_;           // fallback + structural changes
+  htm::FallbackPolicy policy_;  // one stripe: fallback + structural changes
   HotspotDetector hotspot_;
   // Directory in DRAM (rebuilt from segments if ever needed); segment
   // payloads in NVM. Fields accessed transactionally.

@@ -38,9 +38,6 @@
 #include <cstring>
 #include <type_traits>
 
-#include "common/checked.hpp"
-#include "common/spin.hpp"
-
 namespace bdhtm::nvm {
 class Device;
 }
@@ -67,23 +64,25 @@ constexpr std::uint8_t explicit_code(unsigned status) {
 }
 
 // Well-known explicit-abort codes, split out of the generic "explicit"
-// bucket by the abort-cause taxonomy (obs registry + TxStats): lock
-// subscription found the elided lock held (retry.hpp / epoch_sys.hpp
-// kLockedException), and an old-epoch operation saw a newer-epoch block
-// (epoch_sys.hpp kOldSeeNewException). Both are convention codes — the
-// engine treats them like any _xabort(imm8), the taxonomy just names
-// them because the paper's evaluation (Fig. 2) hinges on telling
-// contention from algorithmic restarts.
+// bucket by the abort-cause taxonomy (obs registry + TxStats). Each is
+// defined here and nowhere else:
+//   - kLockSubscriptionCode: a fast path subscribed to a fallback lock
+//     word that was held (htm/fallback.hpp, paper Listing 1 line 16),
+//   - kStripedLockSubscriptionCode: the same under a striped policy, so
+//     the taxonomy attributes contention per policy (global vs. striped),
+//   - kOldSeeNewCode: an old-epoch operation saw a newer-epoch block (the
+//     paper's OldSeeNewException, Listing 1 line 23).
+// They are convention codes: the engine treats them like any
+// _xabort(imm8), the taxonomy just names them because the paper's
+// evaluation (Fig. 2) hinges on telling contention from algorithmic
+// restarts.
 inline constexpr std::uint8_t kLockSubscriptionCode = 0x52;
-inline constexpr std::uint8_t kOldSeeNewCode = 0x51;
-/// Lock-subscription abort raised by the STRIPED fallback policy
-/// (htm/fallback.hpp). Same meaning as kLockSubscriptionCode — a
-/// subscribed elided lock word was held — but carrying its own code lets
-/// the taxonomy attribute contention per policy (global vs. striped).
 inline constexpr std::uint8_t kStripedLockSubscriptionCode = 0x53;
+inline constexpr std::uint8_t kOldSeeNewCode = 0x51;
 
-/// True for either of the lock-subscription convention codes; retry loops
-/// treat both as "a fallback holder is in the way", not a failed attempt.
+/// True for either of the lock-subscription convention codes; the retry
+/// loop treats both as "a fallback holder is in the way", not a failed
+/// attempt.
 constexpr bool is_lock_subscription_code(std::uint8_t code) {
   return code == kLockSubscriptionCode ||
          code == kStripedLockSubscriptionCode;
@@ -148,7 +147,7 @@ const EngineConfig& config();
 /// Aggregate per-thread statistics.
 TxStats collect_stats();
 void reset_stats();
-/// Count a global-lock fallback acquisition (called by ElidedLock users).
+/// Count one fallback acquisition (FallbackPolicy::acquire).
 void note_fallback();
 /// Attribute the fallback elide() is about to take to its cause: the
 /// lock-wait bound was hit (contention) vs. the retry budget ran out.
@@ -324,93 +323,5 @@ void nontx_store(T* addr, T value) {
   }
   detail::nontx_store_word(word, w);
 }
-
-/// Global-lock elision helper: the standard best-effort HTM fallback.
-/// Transactions subscribe to the lock word (transactional read) and abort
-/// if it is held; the fallback path acquires it non-transactionally, which
-/// conflicts with — and aborts — all subscribed transactions.
-class ElidedLock {
- public:
-  /// Transactional subscription; aborts with `code` if the lock is held.
-  void subscribe(Txn& tx, std::uint8_t code) {
-    if (tx.load(&word_) != 0) tx.abort(code);
-  }
-
-  bool locked() const { return nontx_load(&word_) != 0; }
-
-  /// Spin until the lock is free (paper Listing 1 line 43).
-  /// Spin until the fallback holder releases, with bounded exponential
-  /// backoff: a convoy of waiters hammering the lock word only delays
-  /// the holder (whose stores contend the same line).
-  void wait_until_free() const {
-    Backoff backoff;
-    while (locked()) {
-      backoff.pause();
-    }
-  }
-
-  /// Bounded variant: give up once now_ns() passes `deadline_ns`.
-  /// Returns true if the lock was observed free, false on timeout —
-  /// the caller (elide()'s total-wait deadline) must then stop waiting
-  /// and take the fallback itself rather than spin behind a holder the
-  /// OS may have descheduled indefinitely.
-  bool wait_until_free(std::uint64_t deadline_ns) const {
-    Backoff backoff;
-    while (locked()) {
-      if (now_ns() >= deadline_ns) return false;
-      backoff.pause();
-    }
-    return true;
-  }
-
-  void acquire() {
-    acquire_raw();
-    note_fallback();
-  }
-
-  /// Bare acquisition without the fallback-acquisition count: a striped
-  /// FallbackPolicy (htm/fallback.hpp) takes several of these per logical
-  /// fallback and counts the acquisition once itself.
-  void acquire_raw() {
-    // Taking the fallback lock inside a transaction is the classic
-    // lock-elision deadlock: the acquisition conflicts with every
-    // subscribed transaction — including this one. Transactions
-    // subscribe(); only the non-transactional fallback path acquires.
-    if (checked::enabled() && in_txn()) {
-      checked::violation(checked::Rule::kIrrevocableInTx,
-                         "htm::ElidedLock::acquire");
-    }
-    const auto a = reinterpret_cast<std::uintptr_t>(&word_);
-    for (;;) {
-      if (detail::nontx_cas_word(a, 0, 1)) {
-        return;
-      }
-      while (__atomic_load_n(&word_, __ATOMIC_RELAXED) != 0) {
-      }
-    }
-  }
-
-  void release() {
-    detail::nontx_store_word(reinterpret_cast<std::uintptr_t>(&word_), 0);
-  }
-
- private:
-  // Accessed only through the stripe-table helpers so that fallback
-  // acquisition conflicts with subscribed transactions.
-  alignas(8) std::uint64_t word_{0};
-};
-
-/// RAII fallback-path guard (Core Guidelines CP.20: never bare
-/// lock()/unlock()).
-class FallbackGuard {
- public:
-  explicit FallbackGuard(ElidedLock& l) : lock_(l) { lock_.acquire(); }
-  ~FallbackGuard() { lock_.release(); }
-  FallbackGuard(const FallbackGuard&) = delete;
-  FallbackGuard& operator=(const FallbackGuard&) = delete;
-
- private:
-  ElidedLock& lock_;
-};
 
 }  // namespace bdhtm::htm

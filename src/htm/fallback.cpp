@@ -15,6 +15,8 @@ int clamp_stripes(int stripes) {
   return 1 << (31 - std::countl_zero(static_cast<unsigned>(capped)));
 }
 
+bool word_locked(const std::uint64_t& word) { return nontx_load(&word) != 0; }
+
 }  // namespace
 
 FallbackPolicy::FallbackPolicy(int stripes)
@@ -32,28 +34,26 @@ void FallbackPolicy::subscribe(Txn& tx, StripeMask mask) {
                        "htm::FallbackPolicy::subscribe");
   }
   for (StripeMask m = mask; m != 0; m &= m - 1) {
-    slots_[std::countr_zero(m)].lock.subscribe(tx, code());
+    if (tx.load(&slots_[std::countr_zero(m)].word) != 0) tx.abort(code());
   }
 }
 
 bool FallbackPolicy::any_locked(StripeMask mask) const {
   for (StripeMask m = mask; m != 0; m &= m - 1) {
-    if (slots_[std::countr_zero(m)].lock.locked()) return true;
+    if (word_locked(slots_[std::countr_zero(m)].word)) return true;
   }
   return false;
-}
-
-void FallbackPolicy::wait_until_free(StripeMask mask) const {
-  for (StripeMask m = mask; m != 0; m &= m - 1) {
-    slots_[std::countr_zero(m)].lock.wait_until_free();
-  }
 }
 
 bool FallbackPolicy::wait_until_free(StripeMask mask,
                                      std::uint64_t deadline_ns) const {
   for (StripeMask m = mask; m != 0; m &= m - 1) {
-    if (!slots_[std::countr_zero(m)].lock.wait_until_free(deadline_ns)) {
-      return false;
+    // Bounded exponential backoff: a convoy of waiters hammering the lock
+    // word only delays the holder, whose stores contend the same line.
+    Backoff backoff;
+    while (word_locked(slots_[std::countr_zero(m)].word)) {
+      if (now_ns() >= deadline_ns) return false;
+      backoff.pause();
     }
   }
   return true;
@@ -85,13 +85,29 @@ void FallbackPolicy::acquire_stripe(int idx) {
     checked::violation(checked::Rule::kFallbackStripeOrder,
                        "htm::FallbackPolicy::acquire_stripe");
   }
-  slots_[idx].lock.acquire_raw();
+  if (checked::enabled() && in_txn()) {
+    // Taking the fallback lock inside a transaction is the classic
+    // lock-elision deadlock: the acquisition conflicts with every
+    // subscribed transaction — including this one. Transactions
+    // subscribe(); only the non-transactional fallback path acquires.
+    checked::violation(checked::Rule::kIrrevocableInTx,
+                       "htm::FallbackPolicy::acquire");
+  }
+  // The CAS goes through the stripe table, so it aborts every
+  // transaction subscribed to this word.
+  std::uint64_t& word = slots_[idx].word;
+  const auto addr = reinterpret_cast<std::uintptr_t>(&word);
+  while (!detail::nontx_cas_word(addr, 0, 1)) {
+    while (__atomic_load_n(&word, __ATOMIC_RELAXED) != 0) {
+    }
+  }
   held |= StripeMask{1} << idx;
 }
 
 void FallbackPolicy::release_stripe(int idx) {
   assert(idx >= 0 && idx < count_);
-  slots_[idx].lock.release();
+  detail::nontx_store_word(reinterpret_cast<std::uintptr_t>(&slots_[idx].word),
+                           0);
   held_[thread_id()].value &= ~(StripeMask{1} << idx);
 }
 

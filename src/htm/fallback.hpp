@@ -1,10 +1,11 @@
-// Pluggable fallback policies for lock elision (DESIGN.md §11).
+// Elided-lock fallback for best-effort HTM (paper §2.2; DESIGN.md §11).
 //
-// The paper's §2.2 fallback is one global ElidedLock per structure: every
-// fast path subscribes to the single lock word, so one retry-exhausted
+// The paper's §2.2 fallback is one global lock per structure: every fast
+// path subscribes to the single lock word, so one retry-exhausted
 // transaction's fallback aborts ALL concurrent transactions and
-// serializes the shard. A FallbackPolicy generalizes the protocol to an
-// array of elided lock words ("stripes"):
+// serializes the shard. A FallbackPolicy is the only elided-lock type in
+// the tree; it generalizes the protocol to an array of lock words
+// ("stripes"):
 //
 //   - the fast path transactionally subscribes only to the stripes
 //     covering its footprint (one bit per stripe in a StripeMask), and
@@ -14,24 +15,29 @@
 //     construction, the same argument as the engine's commit-time
 //     address-ordered stripe locking).
 //
-// A policy with a single stripe IS the classic global protocol: every
-// footprint maps to the one lock word, subscribe/acquire degenerate to
-// ElidedLock::subscribe/acquire, and the counters match bit for bit.
-// That makes stripes=1 the safe default and the striped policies a pure
-// opt-in (svc::ShardOptions::fallback_stripes).
+// A policy with a single stripe IS the classic global lock: every
+// footprint maps to the one lock word, and its counters match the
+// paper's protocol bit for bit. That makes stripes=1 the safe default
+// (Spash, HTM-vEB, HTM-MwCAS, examples) and the striped policies a pure
+// opt-in (svc::ShardOptions::fallback_stripes). The lock words themselves
+// are private to fallback.cpp: callers subscribe, wait, acquire and
+// release through footprints only.
 //
 // Footprint rules are the structure's obligation (see DESIGN.md §11 for
 // the per-structure arguments): two operations whose data footprints can
 // overlap must have overlapping stripe masks, and structural operations
 // that rewrite shared state (e.g. BD-Spash directory splits) take all().
 //
-// BDHTM_CHECKED builds enforce the two protocol obligations at runtime
-// (rule "fallback-stripe-order", mirrored statically by txlint):
-//   - acquire_stripe(i) while holding any stripe j >= i (out of order);
-//   - subscribe() after the transaction already tracked an access (the
-//     subscription must cover the footprint BEFORE the footprint is
+// BDHTM_CHECKED builds enforce the protocol obligations at runtime:
+//   - acquiring a stripe inside a transaction (rule "irrevocable-in-tx":
+//     the acquisition conflicts with every subscribed transaction,
+//     including the caller's own);
+//   - acquire_stripe(i) while holding any stripe j >= i (out of order),
+//     and subscribe() after the transaction already tracked an access
+//     (the subscription must cover the footprint BEFORE the footprint is
 //     touched, or a fallback holder could slip between access and
-//     subscription).
+//     subscription) — rule "fallback-stripe-order", mirrored statically
+//     by txlint.
 #pragma once
 
 #include <bit>
@@ -54,9 +60,8 @@ class FallbackPolicy {
   static constexpr int kMaxStripes = 64;
 
   /// `stripes` <= 1 selects the global policy (one lock word — the
-  /// classic protocol, behaviour-preserving). Larger values are rounded
-  /// down to a power of two and clamped to kMaxStripes so stripe_of_hash
-  /// is a mask operation.
+  /// classic protocol). Larger values are rounded down to a power of two
+  /// and clamped to kMaxStripes so stripe_of_hash is a mask operation.
   explicit FallbackPolicy(int stripes = 1);
 
   int stripe_count() const { return count_; }
@@ -91,20 +96,17 @@ class FallbackPolicy {
   bool any_locked(StripeMask mask) const;
 
   /// Spin until every stripe in `mask` has been observed free once
-  /// (paper Listing 1 line 43, per stripe).
-  void wait_until_free(StripeMask mask) const;
-
-  /// Bounded variant: stop once now_ns() passes `deadline_ns`. Returns
-  /// false on timeout (some stripe in `mask` was never observed free) —
-  /// elide()'s total-wait deadline then takes the fallback instead of
-  /// spinning behind a descheduled holder.
+  /// (paper Listing 1 line 43, per stripe), or until now_ns() passes
+  /// `deadline_ns`. Returns false on timeout — elide()'s total-wait
+  /// deadline then takes the fallback instead of spinning behind a
+  /// holder the OS may have descheduled.
   bool wait_until_free(StripeMask mask, std::uint64_t deadline_ns) const;
 
   /// Fallback acquisition of every stripe in `mask` in canonical
   /// ascending order. Counts ONE fallback acquisition
-  /// (htm.fallback.total) regardless of |mask| — parity with
-  /// ElidedLock::acquire — plus htm.fallback.stripes_acquired and the
-  /// htm.fallback.stripe_wait_ns histogram.
+  /// (htm.fallback.total) regardless of |mask|, plus
+  /// htm.fallback.stripes_acquired and the htm.fallback.stripe_wait_ns
+  /// histogram.
   void acquire(StripeMask mask);
   void release(StripeMask mask);
 
@@ -125,8 +127,10 @@ class FallbackPolicy {
   // engine's conflict detection is line-granular, so co-located lock
   // words would make subscribing stripe i conflict with acquiring
   // stripe j — false serialization, exactly what striping exists to kill.
+  // Accessed only through the engine's stripe-table helpers, so that a
+  // fallback acquisition conflicts with subscribed transactions.
   struct alignas(kCacheLineSize) Slot {
-    ElidedLock lock;
+    std::uint64_t word = 0;
   };
 
   int count_;
@@ -136,8 +140,8 @@ class FallbackPolicy {
   std::unique_ptr<Padded<StripeMask>[]> held_;
 };
 
-/// RAII fallback guard over a stripe footprint (the FallbackGuard of the
-/// policy world; Core Guidelines CP.20).
+/// RAII fallback guard over a stripe footprint (Core Guidelines CP.20:
+/// never bare acquire()/release()).
 class PolicyGuard {
  public:
   PolicyGuard(FallbackPolicy& p, StripeMask mask) : p_(p), mask_(mask) {

@@ -15,6 +15,8 @@ namespace bdhtm::obs {
 namespace {
 
 constexpr std::size_t kPage = 4096;
+/// How long StatsReader::sample keeps retrying torn reads.
+constexpr std::uint64_t kSampleTimeoutNs = 200'000'000;
 
 std::uint8_t* payload_of(StatsHeader* h) {
   return reinterpret_cast<std::uint8_t*>(h) + sizeof(StatsHeader);
@@ -206,7 +208,17 @@ bool StatsReader::sample(StatsSample& out) const {
   std::vector<std::uint8_t> buf;
   std::uint64_t publish_ns = 0;
   bool consistent = false;
-  for (int attempt = 0; attempt < 1000 && !consistent; ++attempt) {
+  // Torn reads retry with backoff until a time bound, not a count: a
+  // publisher rewriting in a tight loop starves a reader that retries
+  // back to back (a slow, e.g. sanitized, copy loses every race), while a
+  // publisher that died mid-write must not wedge the reader either.
+  const std::uint64_t deadline_ns = now_ns() + kSampleTimeoutNs;
+  Backoff backoff(64, 4096);
+  for (int attempt = 0; !consistent; ++attempt) {
+    if (attempt > 0) {
+      if (now_ns() >= deadline_ns) return false;
+      backoff.pause();
+    }
     const std::uint32_t s1 = hdr_->seq.load(std::memory_order_acquire);
     if ((s1 & 1u) != 0) continue;  // publish in flight
     const std::uint32_t n = hdr_->payload_bytes;
@@ -216,7 +228,6 @@ bool StatsReader::sample(StatsSample& out) const {
     std::atomic_thread_fence(std::memory_order_acquire);
     consistent = hdr_->seq.load(std::memory_order_relaxed) == s1;
   }
-  if (!consistent) return false;
 
   out = StatsSample{};
   out.server_pid = hdr_->server_pid;

@@ -140,8 +140,8 @@ class StatsReader {
   bool open(const std::string& path);
 
   /// Decode one seqlock-consistent snapshot. Returns false if the
-  /// segment never stabilized within the retry budget (publisher died
-  /// mid-write) or the payload is malformed.
+  /// segment never stabilized within 200 ms of backed-off retries
+  /// (publisher died mid-write) or the payload is malformed.
   bool sample(StatsSample& out) const;
 
   void close();

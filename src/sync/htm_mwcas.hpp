@@ -2,10 +2,13 @@
 //
 // A short hardware transaction reads the N target words, compares them
 // with the expected values, and stores the desired values — no
-// descriptor, no helping, no persistence on the critical path. Best-
-// effort aborts fall back to an elided fallback policy (global lock by
-// default, optionally striped by word address — DESIGN.md §11) after a
-// bounded number of retries; plain readers use read(), which goes
+// descriptor, no helping, no persistence on the critical path. It runs
+// through the shared retry loop (htm::elide): best-effort aborts fall
+// back to an elided fallback policy (global lock by default, optionally
+// striped by word address — DESIGN.md §11) after htm::kMaxRetries
+// attempts, with the loop's backoff and total-wait deadline; an
+// expected-value mismatch is the explicit abort kMismatch (0x4d), a
+// failed CAS rather than a retry. Plain readers use read(), which goes
 // through the engine's non-transactional interop so they serialize
 // correctly with both the transactional and the fallback path.
 //
@@ -37,8 +40,7 @@ class HTMMwCAS {
   /// (default); >1 = stripes keyed by hashed word address, so an MwCAS
   /// footprint is the union of its words' stripes and fallbacks on
   /// disjoint word sets no longer serialize (or abort) each other.
-  explicit HTMMwCAS(int max_retries = 16, int fallback_stripes = 1)
-      : policy_(fallback_stripes), max_retries_(max_retries) {}
+  explicit HTMMwCAS(int fallback_stripes = 1) : policy_(fallback_stripes) {}
 
   /// Atomic N-word compare-and-swap. Lock-free in the common case; falls
   /// back to the internal fallback policy under persistent aborts, which
@@ -55,7 +57,6 @@ class HTMMwCAS {
 
  private:
   htm::FallbackPolicy policy_;
-  int max_retries_;
 };
 
 }  // namespace bdhtm::sync

@@ -7,7 +7,7 @@
 #include <cstdint>
 #include <optional>
 
-#include "htm/engine.hpp"
+#include "htm/fallback.hpp"
 #include "veb/veb_core.hpp"
 
 namespace bdhtm::veb {
@@ -30,7 +30,7 @@ class HTMvEB {
 
  private:
   VebCore core_;
-  htm::ElidedLock lock_;
+  htm::FallbackPolicy policy_;  // one stripe: the global lock
 };
 
 }  // namespace bdhtm::veb

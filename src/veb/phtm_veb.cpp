@@ -10,11 +10,9 @@
 namespace bdhtm::veb {
 
 using epoch::KVPair;
-using epoch::kOldSeeNewException;
+using htm::kOldSeeNewCode;
 
 namespace {
-constexpr int kMaxTxnRetries = 16;
-
 std::uint64_t block_epoch(const void* payload) {
   return alloc::PAllocator::header_of(const_cast<void*>(payload))
       ->create_epoch;
@@ -54,7 +52,6 @@ bool PHTMvEB::mutate(htm::StripeMask mask, std::uint64_t prewalk_key,
     std::uint64_t key;
   } pw{this, prewalk_key};
   htm::ElideOptions opts;
-  opts.max_retries = kMaxTxnRetries;
   opts.prewalk = [](void* c) {
     auto* p = static_cast<PrewalkCtx*>(c);
     p->t->prewalk(p->key);
@@ -76,7 +73,7 @@ bool PHTMvEB::mutate(htm::StripeMask mask, std::uint64_t prewalk_key,
           },
           opts);
     } catch (const htm::FallbackRestart& fr) {
-      assert(fr.code == kOldSeeNewException);
+      assert(fr.code == kOldSeeNewCode);
       (void)fr;
       restart_epoch = true;  // restart in a fresh epoch
     }
@@ -181,7 +178,7 @@ bool PHTMvEB::insert(std::uint64_t key, std::uint64_t value) {
     // below: mutate() re-runs this body, and the first statement of each
     // attempt must make the block ready).
     insert_in_tx(acc, op_epoch, key, value, tc.new_blk, ctl);
-    if (ctl.stale) acc.fail(kOldSeeNewException);
+    if (ctl.stale) acc.fail(kOldSeeNewCode);
   },
   /*prep=*/[&](std::uint64_t) {
     if (tc.new_blk == nullptr) {
@@ -196,7 +193,7 @@ bool PHTMvEB::remove(std::uint64_t key) {
   return mutate(footprint(key), key,
                 [&](auto& acc, std::uint64_t op_epoch, OpCtl& ctl) {
     remove_in_tx(acc, op_epoch, key, ctl);
-    if (ctl.stale) acc.fail(kOldSeeNewException);
+    if (ctl.stale) acc.fail(kOldSeeNewCode);
   });
 }
 
@@ -280,14 +277,14 @@ void PHTMvEB::apply_batch(epoch::BatchOp* ops, std::size_t n) {
         if (ctl.stale) {
           // HTM: rolls the whole batch back. Fallback: unwinds with ops
           // [fb_applied, i) already applied — reported via the restart.
-          acc.fail(kOldSeeNewException);
+          acc.fail(kOldSeeNewCode);
         }
         if constexpr (!AccT::transactional()) fb_applied = i + 1;
       }
       return true;
     });
   } catch (const htm::FallbackRestart& fr) {
-    assert(fr.code == kOldSeeNewException);
+    assert(fr.code == kOldSeeNewCode);
     (void)fr;
     finish_batch(ops, fb_applied, n);
     throw epoch::EnvelopeRestart{fb_applied};

@@ -21,6 +21,7 @@
 #include "epoch/epoch_sys.hpp"
 #include "htm/access.hpp"
 #include "htm/engine.hpp"
+#include "htm/fallback.hpp"
 #include "nvm/device.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -259,19 +260,19 @@ TEST(CheckedProtocol, IrrevocableInTxTrapsBeginOp) {
 TEST(CheckedProtocol, IrrevocableInTxTrapsLockAcquire) {
   SKIP_UNLESS_CHECKED();
   Capture cap;
-  htm::ElidedLock lock;
+  htm::FallbackPolicy lock;  // one stripe: the global lock
   // Whether this self-acquisition aborts depends on access order (the
   // engine's own tests cover the conflict semantics); what the checked
   // build guarantees is the diagnostic.
   (void)htm::run([&](htm::Txn& tx) {
-    lock.subscribe(tx, 0x52);
+    lock.subscribe(tx, lock.all());
     // txlint: allow(irrevocable-in-tx) -- provoking the runtime trap
-    lock.acquire();
+    lock.acquire(lock.all());
   });
-  lock.release();
+  lock.release(lock.all());
   ASSERT_TRUE(cap.saw(checked::Rule::kIrrevocableInTx));
   EXPECT_EQ(*cap.site_of(checked::Rule::kIrrevocableInTx),
-            "htm::ElidedLock::acquire");
+            "htm::FallbackPolicy::acquire");
 }
 
 // ---------------------------------------------------------------------------

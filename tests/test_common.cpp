@@ -1,9 +1,13 @@
 // Unit tests for common utilities: RNG determinism, Zipfian distribution
-// shape, spin calibration, env parsing, thread registration.
+// shape, spin calibration, env parsing, thread registration, flusher-pool
+// shutdown.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -183,6 +187,41 @@ TEST(Threading, IdsAreDenseAndStable) {
     EXPECT_NE(ids[i], mine);
   }
   EXPECT_EQ(max_thread_id_seen(), 5);
+}
+
+// Destroying a pool right after building it races each helper's first
+// wait: a stop request and wakeup that land between the helper's
+// predicate check and its sleep are lost unless the destructor raises
+// the stop under the pool mutex, and the destructor then joins a helper
+// that never wakes. The pools churn on a side thread while this thread
+// watches its progress, so a lost wakeup fails the test within the stall
+// bound instead of hanging the suite.
+TEST(FlusherPool, DestroyRightAfterConstructionNeverHangs) {
+  constexpr int kRounds = 20'000;
+  constexpr auto kStall = std::chrono::seconds(5);
+  // Shared with the churn thread, which is leaked if it wedges.
+  auto rounds = std::make_shared<std::atomic<int>>(0);
+  std::thread churn([rounds] {
+    for (int i = 0; i < kRounds; ++i) {
+      { FlusherPool pool(1); }
+      rounds->fetch_add(1, std::memory_order_release);
+    }
+  });
+  int seen = 0;
+  auto last_progress = std::chrono::steady_clock::now();
+  while (seen < kRounds) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const int now = rounds->load(std::memory_order_acquire);
+    if (now != seen) {
+      seen = now;
+      last_progress = std::chrono::steady_clock::now();
+    } else if (std::chrono::steady_clock::now() - last_progress > kStall) {
+      churn.detach();  // wedged in ~FlusherPool; process exit reaps it
+      FAIL() << "~FlusherPool hung joining a helper after " << seen
+             << " pools";
+    }
+  }
+  churn.join();
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // FallbackPolicy (DESIGN.md §11): stripe geometry, the global policy as
-// the 1-stripe degenerate case, deadlock freedom of canonical-order
-// acquisition under adversarial overlapping footprints, global/striped
-// result equivalence against a sequential oracle when every op is forced
-// through the fallback, the checked-build fallback-stripe-order rule,
-// and crash consistency with a crash landing mid-workload on the striped
-// fallback path.
+// the 1-stripe degenerate case and its users' stripe accounting,
+// deadlock freedom of canonical-order acquisition under adversarial
+// overlapping footprints, global/striped result equivalence against a
+// sequential oracle when every op is forced through the fallback, the
+// checked-build fallback-stripe-order rule, and crash consistency with a
+// crash landing mid-workload on the striped fallback path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,10 +18,13 @@
 #include "common/rng.hpp"
 #include "epoch/epoch_sys.hpp"
 #include "hash/bd_spash.hpp"
+#include "hash/spash.hpp"
 #include "htm/engine.hpp"
 #include "htm/fallback.hpp"
 #include "htm/retry.hpp"
 #include "nvm/device.hpp"
+#include "sync/htm_mwcas.hpp"
+#include "veb/htm_veb.hpp"
 
 namespace bdhtm {
 namespace {
@@ -126,6 +129,64 @@ TEST_F(FallbackPolicyTest, CanonicalOrderIsDeadlockFreeUnderContention) {
   for (auto& t : ths) t.join();
   EXPECT_EQ(acquired.load(), static_cast<std::uint64_t>(kThreads) * kOps);
   EXPECT_EQ(pol.held_by_this_thread(), 0u);
+}
+
+// ---- The 1-stripe users: one elided-lock type ----
+
+// Spash, HTM-vEB and HTM-MwCAS take the paper's global lock as a
+// 1-stripe policy. Forced through the fallback, every acquisition must
+// take exactly the one stripe: TxStats' global-policy invariant
+// fallback_stripes_acquired == fallback_acquisitions.
+class GlobalPolicyUsersTest : public FallbackPolicyTest {
+ protected:
+  void SetUp() override {
+    FallbackPolicyTest::SetUp();
+    htm::EngineConfig ecfg;
+    ecfg.spurious_abort_prob = 1.0;  // every attempt aborts => all fallback
+    htm::configure(ecfg);
+  }
+
+  static void expect_one_stripe_per_fallback() {
+    const auto st = htm::collect_stats();
+    ASSERT_GT(st.fallback_acquisitions, 0u) << "fallbacks were not forced";
+    EXPECT_EQ(st.fallback_stripes_acquired, st.fallback_acquisitions);
+  }
+};
+
+TEST_F(GlobalPolicyUsersTest, SpashFallbackTakesTheOneStripe) {
+  nvm::DeviceConfig cfg;
+  cfg.capacity = 64ull << 20;
+  nvm::Device dev(cfg);
+  alloc::PAllocator pa(dev);
+  hash::Spash m(pa, /*initial_depth=*/2);
+  for (std::uint64_t k = 0; k < 600; ++k) ASSERT_TRUE(m.insert(k, k + 1));
+  for (std::uint64_t k = 0; k < 600; k += 3) EXPECT_TRUE(m.remove(k));
+  for (std::uint64_t k = 1; k < 600; k += 3) EXPECT_EQ(m.find(k), k + 1);
+  expect_one_stripe_per_fallback();
+}
+
+TEST_F(GlobalPolicyUsersTest, HTMvEBFallbackTakesTheOneStripe) {
+  veb::HTMvEB t(10);
+  for (std::uint64_t k = 0; k < 200; ++k) ASSERT_TRUE(t.insert(k * 5, k));
+  for (std::uint64_t k = 0; k < 200; k += 2) EXPECT_TRUE(t.remove(k * 5));
+  EXPECT_EQ(t.find(5), 1u);
+  const auto succ = t.successor(0);
+  ASSERT_TRUE(succ.has_value());
+  EXPECT_EQ(succ->first, 5u);
+  expect_one_stripe_per_fallback();
+}
+
+TEST_F(GlobalPolicyUsersTest, HTMMwCASFallbackTakesTheOneStripe) {
+  sync::HTMMwCAS mw;
+  alignas(8) std::uint64_t a = 0, b = 100;
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    sync::HTMMwCAS::Word w[2] = {{&a, i, i + 1}, {&b, 100 - i, 99 - i}};
+    const auto r = mw.execute(w, 2);
+    ASSERT_TRUE(r.success);
+    EXPECT_TRUE(r.used_fallback);
+  }
+  EXPECT_EQ(mw.read(&a) + mw.read(&b), 100u);
+  expect_one_stripe_per_fallback();
 }
 
 // ---- Global == striped result equivalence ----

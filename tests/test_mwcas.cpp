@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "alloc/pallocator.hpp"
 #include "common/rng.hpp"
 #include "htm/engine.hpp"
+#include "htm/fallback.hpp"
 #include "nvm/device.hpp"
 #include "sync/htm_mwcas.hpp"
 #include "sync/mwcas.hpp"
@@ -277,12 +279,56 @@ TEST_F(HtmMwcasTest, FallbackUnderPersistentAborts) {
   cfg.spurious_abort_prob = 1.0;
   htm::configure(cfg);
   alignas(8) std::uint64_t a = 2;
-  HTMMwCAS mw(/*max_retries=*/3);
+  HTMMwCAS mw;
   HTMMwCAS::Word w[1] = {{&a, 2, 4}};
   const auto r = mw.execute(w, 1);
   EXPECT_TRUE(r.success);
   EXPECT_TRUE(r.used_fallback);
   EXPECT_EQ(mw.read(&a), 4u);
+}
+
+TEST_F(HtmMwcasTest, MismatchOnFallbackPathFailsWithoutWriting) {
+  htm::EngineConfig cfg;
+  cfg.spurious_abort_prob = 1.0;
+  htm::configure(cfg);
+  alignas(8) std::uint64_t a = 2, b = 4;
+  HTMMwCAS mw;
+  HTMMwCAS::Word w[2] = {{&a, 2, 6}, {&b, 99, 8}};
+  const auto r = mw.execute(w, 2);
+  EXPECT_FALSE(r.success);
+  EXPECT_TRUE(r.used_fallback);
+  EXPECT_EQ(mw.read(&a), 2u);
+  EXPECT_EQ(mw.read(&b), 4u);
+}
+
+// A fallback holder parked past the shared retry loop's total-wait
+// deadline (ElideOptions::max_wait_us, 100 ms by default): the waiting
+// MwCAS must stop spinning, attribute a wait_timeout fallback, and
+// complete on the fallback path once the holder leaves.
+TEST_F(HtmMwcasTest, WaitBehindStalledHolderTimesOutIntoFallback) {
+  alignas(8) std::uint64_t a = 2;
+  HTMMwCAS mw;
+  htm::FallbackPolicy& pol = mw.fallback_policy();
+  pol.acquire(pol.all());
+  HTMMwCAS::Result r{};
+  std::thread worker([&] {
+    HTMMwCAS::Word w[1] = {{&a, 2, 4}};
+    r = mw.execute(w, 1);
+  });
+  // Hold from the worker's first subscription abort (which arms its
+  // deadline) until well past the deadline.
+  while (htm::collect_stats().aborts_lock_subscription == 0) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  pol.release(pol.all());
+  worker.join();
+  EXPECT_TRUE(r.success);
+  EXPECT_TRUE(r.used_fallback);
+  EXPECT_EQ(mw.read(&a), 4u);
+  const auto s = htm::collect_stats();
+  EXPECT_EQ(s.fallbacks_wait_timeout, 1u);
+  EXPECT_EQ(s.fallback_acquisitions, 2u);  // holder + worker fallback
 }
 
 TEST_F(HtmMwcasTest, MismatchDoesNotFallBack) {

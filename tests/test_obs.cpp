@@ -726,9 +726,9 @@ class ObsElideTest : public ::testing::Test {
 };
 
 TEST_F(ObsElideTest, CommitCountsNoFallback) {
-  htm::ElidedLock lock;
+  htm::FallbackPolicy lock;  // one stripe: the global lock
   alignas(8) std::uint64_t x = 0;
-  const int r = htm::elide<int>(lock, [&](auto& acc) {
+  const int r = htm::elide<int>(lock, lock.all(), [&](auto& acc) {
     acc.store(&x, std::uint64_t{5});
     return 1;
   });
@@ -745,36 +745,31 @@ TEST_F(ObsElideTest, RetryBudgetExhaustionCountsAsExhausted) {
   htm::EngineConfig cfg;
   cfg.spurious_abort_prob = 1.0;  // every attempt aborts
   htm::configure(cfg);
-  htm::ElidedLock lock;
-  htm::ElideOptions opts;
-  opts.max_retries = 3;
+  htm::FallbackPolicy lock;
   alignas(8) std::uint64_t x = 0;
-  const int r = htm::elide<int>(
-      lock,
-      [&](auto& acc) {
-        acc.store(&x, std::uint64_t{9});
-        return 4;
-      },
-      opts);
+  const int r = htm::elide<int>(lock, lock.all(), [&](auto& acc) {
+    acc.store(&x, std::uint64_t{9});
+    return 4;
+  });
   EXPECT_EQ(r, 4);  // fallback path still runs the body
   EXPECT_EQ(x, 9u);
   const auto s = htm::collect_stats();
-  EXPECT_EQ(s.aborts_spurious, 3u);
+  EXPECT_EQ(s.aborts_spurious, static_cast<std::uint64_t>(htm::kMaxRetries));
   EXPECT_EQ(s.fallbacks_exhausted, 1u);
   EXPECT_EQ(s.fallbacks_lockwait, 0u);
   EXPECT_EQ(s.fallback_acquisitions, 1u);
 }
 
 TEST_F(ObsElideTest, LockWaitBoundCountsAsLockwaitFallback) {
-  htm::ElidedLock lock;
-  lock.acquire();  // main thread plays the fallback holder (counts one
-                   // fallback_acquisition)
+  htm::FallbackPolicy lock;
+  lock.acquire(lock.all());  // main thread plays the fallback holder
+                             // (counts one fallback_acquisition)
   htm::ElideOptions opts;
   opts.max_lock_waits = 1;  // give up after the first subscription abort
   alignas(8) std::uint64_t x = 0;
   std::thread worker([&] {
     const int r = htm::elide<int>(
-        lock,
+        lock, lock.all(),
         [&](auto& acc) {
           acc.store(&x, std::uint64_t{3});
           return 2;
@@ -785,7 +780,7 @@ TEST_F(ObsElideTest, LockWaitBoundCountsAsLockwaitFallback) {
   // The worker hits the lock-wait bound, attributes the fallback, then
   // blocks acquiring the lock until the holder releases.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  lock.release();
+  lock.release(lock.all());
   worker.join();
   EXPECT_EQ(x, 3u);
   const auto s = htm::collect_stats();
@@ -796,8 +791,9 @@ TEST_F(ObsElideTest, LockWaitBoundCountsAsLockwaitFallback) {
 }
 
 TEST_F(ObsElideTest, WaitDeadlineCountsAsWaitTimeoutFallback) {
-  htm::ElidedLock lock;
-  lock.acquire();  // holder sits on the lock far longer than the deadline
+  htm::FallbackPolicy lock;
+  lock.acquire(lock.all());  // holder sits on the lock far longer than
+                             // the deadline
   htm::ElideOptions opts;
   opts.max_wait_us = 1'000;        // 1ms total-wait deadline...
   opts.max_lock_waits = 1 << 20;   // ...and the count bound can't trip
@@ -806,7 +802,7 @@ TEST_F(ObsElideTest, WaitDeadlineCountsAsWaitTimeoutFallback) {
       obs::Registry::global().counter("htm.fallback.wait_timeout").total();
   std::thread worker([&] {
     const int r = htm::elide<int>(
-        lock,
+        lock, lock.all(),
         [&](auto& acc) {
           acc.store(&x, std::uint64_t{5});
           return 6;
@@ -818,7 +814,7 @@ TEST_F(ObsElideTest, WaitDeadlineCountsAsWaitTimeoutFallback) {
   // to wait_timeout (NOT lockwait — deadline beats count in priority),
   // then blocks acquiring the lock until the holder releases.
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  lock.release();
+  lock.release(lock.all());
   worker.join();
   EXPECT_EQ(x, 5u);
   const auto s = htm::collect_stats();
@@ -859,28 +855,23 @@ TEST_F(ObsElideTest, WaitDeadlineAppliesToStripedPolicyElide) {
   EXPECT_EQ(s.fallback_acquisitions, 2u);
 }
 
-TEST_F(ObsElideTest, ZeroWaitDeadlineMeansUnbounded) {
-  htm::ElidedLock lock;
-  lock.acquire();
-  htm::ElideOptions opts;
-  opts.max_wait_us = 0;           // opt back into the unbounded paper wait
-  opts.max_lock_waits = 1 << 20;
+TEST_F(ObsElideTest, HoldShorterThanWaitDeadlineDoesNotTimeOut) {
+  htm::FallbackPolicy lock;
+  lock.acquire(lock.all());
   alignas(8) std::uint64_t x = 0;
   std::thread worker([&] {
-    const int r = htm::elide<int>(
-        lock,
-        [&](auto& acc) {
-          acc.store(&x, std::uint64_t{1});
-          return 2;
-        },
-        opts);
+    // Default options: the 100 ms total-wait deadline outlasts the hold.
+    const int r = htm::elide<int>(lock, lock.all(), [&](auto& acc) {
+      acc.store(&x, std::uint64_t{1});
+      return 2;
+    });
     EXPECT_EQ(r, 2);
   });
-  // Holder releases after well past the default deadline's order of
-  // magnitude at this scale; the worker must still be waiting (not
-  // timed out) and then commit transactionally.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  lock.release();
+  // The holder releases well inside the default deadline; the worker
+  // must still be waiting (not timed out) and then commit
+  // transactionally.
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  lock.release(lock.all());
   worker.join();
   EXPECT_EQ(x, 1u);
   const auto s = htm::collect_stats();

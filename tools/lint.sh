@@ -4,29 +4,12 @@
 # works on minimal local toolchains and still hard-fails CI on real
 # findings.
 #
-# Usage: tools/lint.sh [--fast] [--since <rev>] [build-dir]
+# Usage: tools/lint.sh [build-dir]
 #   (default build-dir: ./build)
-#
-# --fast is the pre-commit path: pass-1 results for unchanged files come
-# from the symbol-table cache ($build/txlint-symtab-cache.json), only
-# files changed since <rev> (default HEAD) are re-lexed, and clang-tidy
-# is skipped. Pass 2 (whole-program propagation) always runs in full, so
-# an edit to a helper still re-checks its in-tx callers.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
-fast=0
-since="HEAD"
-build=""
-while [[ $# -gt 0 ]]; do
-  case "$1" in
-    --fast) fast=1 ;;
-    --since) since="$2"; shift ;;
-    *) build="$1" ;;
-  esac
-  shift
-done
-build="${build:-$root/build}"
+build="${1:-$root/build}"
 jobs="$(nproc 2>/dev/null || echo 2)"
 
 if [[ ! -x "$build/tools/txlint/txlint" ]]; then
@@ -42,16 +25,6 @@ scan_args=(
   "$root/src" "$root/tests" "$root/bench"
   "$root/tools/ipc_client" "$root/examples"
 )
-
-if [[ "$fast" == 1 ]]; then
-  echo "== txlint: incremental tree scan (--since $since) =="
-  "$txlint" --since "$since" \
-    --symtab-cache "$build/txlint-symtab-cache.json" \
-    --json "$build/txlint-report.json" \
-    "${scan_args[@]}"
-  echo "report: $build/txlint-report.json"
-  exit 0
-fi
 
 echo "== txlint: corpus ground truth =="
 "$txlint" --verify-expectations "$root/tools/txlint/corpus"

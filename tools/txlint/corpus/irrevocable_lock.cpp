@@ -1,7 +1,7 @@
 // Known-bad: acquiring a fallback lock inside a transaction. Every
 // subscribed transaction — including this one — conflicts with the lock
 // word write: the classic lock-elision self-abort. The checked build
-// traps the same call at runtime (htm::ElidedLock::acquire).
+// traps the same call at runtime (htm::FallbackPolicy::acquire).
 // txlint-expect: irrevocable-in-tx
 
 void fallback_mix(htm::ElidedLock& lock, htm::ElidedLock& other, Map& m,

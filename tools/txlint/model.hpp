@@ -116,12 +116,9 @@ struct FuncDef {
   std::vector<StripeAcq> stripe_acqs;
 };
 
-/// Everything pass 1 extracts from one file. Serializable to the symbol
-/// table cache (cache.hpp) so --since can skip re-lexing unchanged files.
+/// Everything pass 1 extracts from one file.
 struct FileModel {
-  std::string path;          // as scanned (possibly relative)
-  std::uint64_t size = 0;    // cache validation
-  std::uint64_t mtime_ns = 0;
+  std::string path;  // as scanned (possibly relative)
   bool ipc_client_scope = false;
   /// Quoted #include targets; pass 2 resolves a call site only to
   /// definitions whose file is visible from the caller's file through
