@@ -68,11 +68,16 @@ void study(const char* name, std::size_t cap, MakeTree&& make, Fill&& fill,
     auto structure = make(*w.es);
     const std::size_t n = recover(*structure, threads);
     const std::uint64_t t1 = now_ns();
+    const std::uint64_t persisted = w.es->last_recovery().headers_persisted;
     bench::record_row(name, "recovery_ms", threads, (t1 - t0) / 1e6, "ms");
     bench::record_row(name, "records", threads, static_cast<double>(n),
                       "records");
-    std::printf("%-14s threads=%-2d records=%-9zu recovery=%8.1f ms\n",
-                name, threads, n, (t1 - t0) / 1e6);
+    bench::record_row(name, "headers_persisted", threads,
+                      static_cast<double>(persisted), "headers");
+    std::printf("%-14s threads=%-2d records=%-9zu recovery=%8.1f ms "
+                "headers_persisted=%llu\n",
+                name, threads, n, (t1 - t0) / 1e6,
+                static_cast<unsigned long long>(persisted));
     std::fflush(stdout);
   }
 }
@@ -130,12 +135,15 @@ void corruption_sweep(std::uint64_t records, int ubits, std::size_t cap) {
     bench::record_row("corruption sweep, quarantined", label, 1,
                       static_cast<double>(rep.blocks_quarantined),
                       "blocks");
+    bench::record_row("corruption sweep, headers_persisted", label, 1,
+                      static_cast<double>(rep.headers_persisted), "headers");
     std::printf(
         "  corrupt=%5.1f%% lines_hit=%-7llu recovery=%8.1f ms "
-        "recovered=%-9zu pairs_lost=%-7llu quarantined=%-6llu "
-        "(checksum=%llu epoch=%llu superblocks=%llu)\n",
+        "headers_persisted=%-6llu recovered=%-9zu pairs_lost=%-7llu "
+        "quarantined=%-6llu (checksum=%llu epoch=%llu superblocks=%llu)\n",
         frac * 100.0, static_cast<unsigned long long>(hit), (t1 - t0) / 1e6,
-        n, static_cast<unsigned long long>(lost),
+        static_cast<unsigned long long>(rep.headers_persisted), n,
+        static_cast<unsigned long long>(lost),
         static_cast<unsigned long long>(rep.blocks_quarantined),
         static_cast<unsigned long long>(rep.checksum_failures),
         static_cast<unsigned long long>(rep.epoch_violations),

@@ -52,16 +52,9 @@ PAllocator::PAllocator(nvm::Device& dev, Mode mode) : dev_(dev) {
   // Superblocks with magic but insane geometry advance by 1: they stay
   // carved (out of circulation) and every scan skips them as opaque.
   std::size_t watermark = 0;
-  for (std::size_t i = 0; i < max_superblocks_;) {
-    auto* sb = reinterpret_cast<SuperblockHeader*>(at(sb_offset(i)));
-    if (sb->magic != kSbMagic) {
-      ++i;  // never persisted (e.g. crash mid-carve): may be a gap
-      continue;
-    }
-    const std::size_t span = superblock_span(sb, i);
-    i += span == 0 ? 1 : span;
-    watermark = i;
-  }
+  for_each_superblock(max_superblocks_, [&](std::size_t i, std::size_t span) {
+    watermark = i + (span == 0 ? 1 : span);
+  });
   next_superblock_.store(watermark, std::memory_order_release);
   // Free lists stay empty until rebuild_free_lists(); the epoch-system
   // recovery must classify blocks first.
@@ -262,22 +255,10 @@ void PAllocator::quarantine_block(BlockHeader* hdr) {
 
 std::uint64_t PAllocator::corrupt_superblock_count() const {
   std::uint64_t corrupt = 0;
-  const std::size_t sb_count = superblock_watermark();
-  for (std::size_t i = 0; i < sb_count;) {
-    const auto* sb = reinterpret_cast<const SuperblockHeader*>(
-        dev_.base() + sb_offset(i));
-    if (sb->magic != kSbMagic) {
-      ++i;
-      continue;
-    }
-    const std::size_t span = superblock_span(sb, i);
-    if (span == 0) {
-      ++corrupt;
-      ++i;
-      continue;
-    }
-    i += span;
-  }
+  for_each_superblock(superblock_watermark(),
+                      [&](std::size_t, std::size_t span) {
+                        if (span == 0) ++corrupt;
+                      });
   return corrupt;
 }
 
@@ -297,35 +278,26 @@ void PAllocator::rebuild_free_lists() {
   }
   bytes_in_use_.store(0, std::memory_order_relaxed);
 
-  const std::size_t sb_count = superblock_watermark();
-  for (std::size_t i = 0; i < sb_count;) {
+  // A corrupt superblock header (span 0) keeps its blocks unreachable
+  // and its space out of circulation (see corrupt_superblock_count).
+  for_each_superblock(superblock_watermark(), [&](std::size_t i,
+                                                  std::size_t span) {
+    if (span == 0) return;
     auto* sb = reinterpret_cast<SuperblockHeader*>(at(sb_offset(i)));
-    if (sb->magic != kSbMagic) {
-      ++i;
-      continue;
-    }
-    if (superblock_span(sb, i) == 0) {
-      // Corrupt superblock header: its blocks are unreachable and its
-      // space stays out of circulation (see corrupt_superblock_count).
-      ++i;
-      continue;
-    }
     if (sb->size_class >= kNumClasses) {
       auto* hdr = reinterpret_cast<BlockHeader*>(
           at(sb_offset(i) + kCacheLineSize));
       if (hdr->st() == BlockStatus::kFree) {
         std::scoped_lock lk(large_mu_);
-        large_free_.emplace_back(i, sb->span);
+        large_free_.emplace_back(i, span);
       } else {
         bytes_in_use_.fetch_add(hdr->user_size + sizeof(BlockHeader),
                                 std::memory_order_relaxed);
       }
-      i += sb->span;
-      continue;
+      return;
     }
-    const std::size_t cls = sb->size_class;
-    const std::size_t stride = kStrides[cls];
-    ClassState& cs = classes_[cls];
+    const std::size_t stride = kStrides[sb->size_class];
+    ClassState& cs = classes_[sb->size_class];
     std::scoped_lock lk(cs.mu);
     for (std::size_t off = sb_offset(i) + kCacheLineSize;
          off + stride <= sb_offset(i) + kSuperblockSize; off += stride) {
@@ -336,8 +308,7 @@ void PAllocator::rebuild_free_lists() {
         bytes_in_use_.fetch_add(stride, std::memory_order_relaxed);
       }
     }
-    ++i;
-  }
+  });
 }
 
 std::uint64_t PAllocator::bytes_reserved() const {

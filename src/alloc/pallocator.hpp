@@ -19,7 +19,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/defs.hpp"
@@ -99,14 +101,53 @@ class PAllocator {
     return reinterpret_cast<std::byte*>(hdr) + sizeof(BlockHeader);
   }
 
-  /// Visit every non-free block: fn(BlockHeader*, void* payload).
-  /// Used by the recovery scan and the space accountant.
+  /// Visit every non-free block on `threads` workers: the caller plus
+  /// threads - 1 helpers it spawns and joins. Workers claim superblocks
+  /// from a shared cursor over the heap's superblock list (a large span
+  /// is one unit), so each block is visited once, by the worker that
+  /// claimed its superblock: fn(worker, BlockHeader*, void* payload),
+  /// worker in [0, threads). Each worker calls done(worker) on its own
+  /// thread after its last block, also when fn threw; the first
+  /// exception is rethrown after the join. The recovery scan runs on this.
+  template <typename Fn, typename Done>
+  void for_each_block(int threads, Fn&& fn, Done&& done) {
+    std::vector<std::size_t> units;
+    for_each_superblock(superblock_watermark(),
+                        [&](std::size_t i, std::size_t span) {
+                          if (span != 0) units.push_back(i);
+                        });
+    std::atomic<std::size_t> cursor{0};
+    std::mutex error_mu;
+    std::exception_ptr error;  // guarded by error_mu
+    auto work = [&](int worker) {
+      try {
+        for (;;) {
+          const std::size_t u =
+              cursor.fetch_add(1, std::memory_order_relaxed);
+          if (u >= units.size()) break;
+          visit_superblock(units[u], [&](BlockHeader* hdr, void* payload) {
+            fn(worker, hdr, payload);
+          });
+        }
+      } catch (...) {
+        std::scoped_lock lk(error_mu);
+        if (!error) error = std::current_exception();
+      }
+      done(worker);
+    };
+    std::vector<std::thread> helpers;
+    for (int w = 1; w < threads; ++w) helpers.emplace_back(work, w);
+    work(0);
+    for (auto& h : helpers) h.join();
+    if (error) std::rethrow_exception(error);
+  }
+
+  /// The serial walk, fn(BlockHeader*, void* payload): one worker.
   template <typename Fn>
   void for_each_block(Fn&& fn) {
-    const std::size_t sb_count = superblock_watermark();
-    for (std::size_t i = 0; i < sb_count;) {
-      i += visit_superblock(i, fn);  // large spans are skipped as a unit
-    }
+    for_each_block(
+        1, [&](int, BlockHeader* hdr, void* payload) { fn(hdr, payload); },
+        [](int) {});
   }
 
   /// Rebuild all transient free lists from header states. Part of
@@ -201,8 +242,27 @@ class PAllocator {
     }
     return span == 1 ? 1 : 0;
   }
+  /// fn(index, span) for every formatted superblock header below
+  /// `limit`, a large span once. span is 0 for an insane header: the
+  /// walk steps over it as one opaque superblock, so garbage geometry can
+  /// neither misdirect the walk nor (span == 0) stall it.
   template <typename Fn>
-  std::size_t visit_superblock(std::size_t index, Fn&& fn);
+  void for_each_superblock(std::size_t limit, Fn&& fn) const {
+    for (std::size_t i = 0; i < limit;) {
+      const auto* sb = reinterpret_cast<const SuperblockHeader*>(
+          dev_.base() + sb_offset(i));
+      if (sb->magic != kSbMagic) {  // never persisted (e.g. crash
+        ++i;                        // mid-carve): may be a gap
+        continue;
+      }
+      const std::size_t span = superblock_span(sb, i);
+      fn(i, span);
+      i += span == 0 ? 1 : span;
+    }
+  }
+  /// Visit the non-free blocks of the sane superblock at `index`.
+  template <typename Fn>
+  void visit_superblock(std::size_t index, Fn&& fn);
   std::uint64_t carve_superblocks(std::size_t count);  // returns sb index
   std::uint64_t take_from_class(std::size_t cls);      // payload offset
   void* init_block(std::uint64_t payload_off, std::size_t cls,
@@ -225,18 +285,14 @@ class PAllocator {
 };
 
 template <typename Fn>
-std::size_t PAllocator::visit_superblock(std::size_t index, Fn&& fn) {
+void PAllocator::visit_superblock(std::size_t index, Fn&& fn) {
   auto* sb = reinterpret_cast<SuperblockHeader*>(at(sb_offset(index)));
-  if (sb->magic != kSbMagic) return 1;  // header never persisted: skip
-  if (superblock_span(sb, index) == 0) return 1;  // corrupt header: the
-  // superblock is opaque — walking garbage geometry would misread (or,
-  // for span == 0, never terminate), so its blocks stay unreachable.
   if (sb->size_class >= kNumClasses) {
     // Large span: single block right after the superblock header.
     auto* hdr = reinterpret_cast<BlockHeader*>(
         at(sb_offset(index) + kCacheLineSize));
     if (hdr->st() != BlockStatus::kFree) fn(hdr, payload_of(hdr));
-    return static_cast<std::size_t>(sb->span);
+    return;
   }
   const std::size_t stride = stride_of_class(sb->size_class);
   const std::size_t first = sb_offset(index) + kCacheLineSize;
@@ -245,7 +301,6 @@ std::size_t PAllocator::visit_superblock(std::size_t index, Fn&& fn) {
     auto* hdr = reinterpret_cast<BlockHeader*>(at(off));
     if (hdr->st() != BlockStatus::kFree) fn(hdr, payload_of(hdr));
   }
-  return 1;
 }
 
 }  // namespace bdhtm::alloc

@@ -52,6 +52,7 @@
 // deferred reclamation, as §4.3 describes for BD-Spash.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <condition_variable>
@@ -149,6 +150,24 @@ struct RecoveryReport {
   std::uint64_t superblocks_quarantined = 0;  // insane superblock headers
   std::uint64_t checksum_failures = 0;  // header tag/geometry mismatches
   std::uint64_t epoch_violations = 0;   // epoch stamps outside sane bounds
+  /// Header write-backs the scan issued: one per header it changed
+  /// (resurrected, discarded or newly quarantined). Unchanged live
+  /// headers are already durable and cost none.
+  std::uint64_t headers_persisted = 0;
+
+  /// Sum of per-worker counts (superblocks_quarantined is heap-wide and
+  /// set once, after the scan).
+  RecoveryReport& operator+=(const RecoveryReport& o) {
+    blocks_scanned += o.blocks_scanned;
+    blocks_live += o.blocks_live;
+    blocks_resurrected += o.blocks_resurrected;
+    blocks_discarded += o.blocks_discarded;
+    blocks_quarantined += o.blocks_quarantined;
+    checksum_failures += o.checksum_failures;
+    epoch_violations += o.epoch_violations;
+    headers_persisted += o.headers_persisted;
+    return *this;
+  }
 };
 
 class EpochSys {
@@ -347,6 +366,20 @@ class EpochSys {
   /// create_epoch)`. The caller (a data structure) rebuilds its DRAM
   /// index from these callbacks.
   ///
+  /// One pass on `threads` workers (the caller included) that claim
+  /// superblocks from a shared cursor (PAllocator::for_each_block): each
+  /// worker classifies its blocks and calls live_fn on its own thread, so
+  /// live_fn must be thread-safe when threads > 1. It may pDelete a
+  /// duplicate it loses to; that only marks the block kFree, and the
+  /// free-list rebuild after the join picks it up.
+  ///
+  /// The scan writes back only the headers it changes (resurrected,
+  /// discarded, quarantined). A live header that already reads kAllocated
+  /// with no delete epoch is left alone: after a crash the working image
+  /// is the media image, so its normalized form is already durable. The
+  /// device keeps pending write-backs per thread, so every worker drains
+  /// its own before it exits.
+  ///
   /// The scan is defensive against media corruption: every header must
   /// pass the allocator's integrity check (tag over the init-constant
   /// fields) and carry epoch stamps inside the sanity horizon before it
@@ -356,8 +389,7 @@ class EpochSys {
   /// kFree and is silently skipped, which is the same bounded data loss
   /// (the block was durable, its pair is gone) without the count.
   template <typename Fn>
-  RecoveryReport recover(Fn&& live_fn) {
-    RecoveryReport rep{};
+  RecoveryReport recover(Fn&& live_fn, int threads = 1) {
     const std::uint64_t t_scan = now_ns();
     const std::uint64_t p = persisted_epoch();
     const std::uint64_t frontier = recovery_frontier(p);
@@ -375,13 +407,21 @@ class EpochSys {
     auto epoch_sane = [&](std::uint64_t e) {
       return e == kInvalidEpoch || (e >= kFirstEpoch && e <= horizon);
     };
-    pa_.for_each_block([&](alloc::BlockHeader* hdr, void* payload) {
+    threads = std::max(threads, 1);
+    std::vector<Padded<RecoveryReport>> parts(threads);
+    auto scan = [&](int worker, alloc::BlockHeader* hdr, void* payload) {
+      RecoveryReport& rep = parts[worker].value;
+      auto write_back = [&] {
+        dev.mark_dirty(hdr, sizeof(*hdr));
+        dev.clwb_nontxn(hdr);
+        ++rep.headers_persisted;
+      };
       ++rep.blocks_scanned;
       if (!pa_.validate_header(hdr)) {
         ++rep.checksum_failures;
         ++rep.blocks_quarantined;
         pa_.quarantine_block(hdr);
-        dev.clwb_nontxn(hdr);
+        write_back();
         return;
       }
       if (hdr->st() == alloc::BlockStatus::kQuarantined) {
@@ -393,7 +433,7 @@ class EpochSys {
         ++rep.epoch_violations;
         ++rep.blocks_quarantined;
         pa_.quarantine_block(hdr);
-        dev.clwb_nontxn(hdr);
+        write_back();
         return;
       }
       const bool created_valid =
@@ -405,27 +445,29 @@ class EpochSys {
                      hdr->delete_epoch > frontier
                : hdr->st() == alloc::BlockStatus::kDeleted &&
                      hdr->delete_epoch > frontier);
-      if (alive) {
-        if (hdr->st() == alloc::BlockStatus::kDeleted) {
-          ++rep.blocks_resurrected;
-        }
-        ++rep.blocks_live;
-        // Normalize: the resurrected/live state must itself be durable,
-        // or a later crash could re-kill a block we handed back.
-        hdr->status = static_cast<std::uint32_t>(alloc::BlockStatus::kAllocated);
-        hdr->delete_epoch = kInvalidEpoch;
-        dev.mark_dirty(hdr, sizeof(*hdr));
-        dev.clwb_nontxn(hdr);
-        live_fn(payload, hdr->create_epoch);
-      } else {
+      if (!alive) {
         ++rep.blocks_discarded;
         hdr->status = static_cast<std::uint32_t>(alloc::BlockStatus::kFree);
-        dev.mark_dirty(hdr, sizeof(*hdr));
-        dev.clwb_nontxn(hdr);
+        write_back();
+        return;
       }
-    });
+      if (hdr->st() == alloc::BlockStatus::kDeleted) ++rep.blocks_resurrected;
+      if (hdr->st() != alloc::BlockStatus::kAllocated ||
+          hdr->delete_epoch != kInvalidEpoch) {
+        // Normalize: the resurrected state must itself be durable, or a
+        // later crash could re-kill a block we handed back.
+        hdr->status =
+            static_cast<std::uint32_t>(alloc::BlockStatus::kAllocated);
+        hdr->delete_epoch = kInvalidEpoch;
+        write_back();
+      }
+      ++rep.blocks_live;
+      live_fn(payload, hdr->create_epoch);
+    };
+    pa_.for_each_block(threads, scan, [&](int) { dev.drain(); });
+    RecoveryReport rep{};
+    for (const auto& part : parts) rep += part.value;
     rep.superblocks_quarantined = pa_.corrupt_superblock_count();
-    dev.drain();
     pa_.rebuild_free_lists();
     // Resume strictly after every epoch that may appear on a live block.
     global_epoch_.store(p + 2, std::memory_order_release);

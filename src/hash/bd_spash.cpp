@@ -1,7 +1,6 @@
 #include "hash/bd_spash.hpp"
 
 #include <cassert>
-#include <thread>
 #include <type_traits>
 
 #include "common/rng.hpp"
@@ -505,30 +504,10 @@ void BDSpash::relink_recovered(KVPair* kv, std::uint64_t /*create_epoch*/) {
 }
 
 std::size_t BDSpash::recover(int threads) {
-  std::vector<KVPair*> blocks;
-  es_.recover([&](void* payload, std::uint64_t) {
-    blocks.push_back(static_cast<KVPair*>(payload));
-  });
-  auto link_all = [this](const std::vector<KVPair*>& blks, std::size_t lo,
-                         std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      relink_recovered(blks[i], block_epoch(blks[i]));
-    }
+  const auto relink = [this](void* payload, std::uint64_t ce) {
+    relink_recovered(static_cast<KVPair*>(payload), ce);
   };
-  if (threads <= 1) {
-    link_all(blocks, 0, blocks.size());
-  } else {
-    std::vector<std::thread> workers;
-    const std::size_t chunk = (blocks.size() + threads - 1) / threads;
-    for (int t = 0; t < threads; ++t) {
-      const std::size_t lo = t * chunk;
-      const std::size_t hi = std::min(blocks.size(), lo + chunk);
-      if (lo >= hi) break;
-      workers.emplace_back([&, lo, hi] { link_all(blocks, lo, hi); });
-    }
-    for (auto& w : workers) w.join();
-  }
-  return blocks.size();
+  return es_.recover(relink, threads).blocks_live;
 }
 
 }  // namespace bdhtm::hash

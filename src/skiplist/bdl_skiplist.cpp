@@ -1,8 +1,6 @@
 #include "skiplist/bdl_skiplist.hpp"
 
 #include <cassert>
-#include <thread>
-#include <vector>
 
 namespace bdhtm::skiplist {
 
@@ -241,48 +239,35 @@ htm::StripeMask BDLSkiplist::footprint(std::uint64_t key) const {
 
 void BDLSkiplist::relink_recovered(KVPair* kv,
                                    std::uint64_t /*create_epoch*/) {
-  Node* existing = nullptr;
-  if (base_->insert_node(kv->key, reinterpret_cast<std::uint64_t>(kv),
-                         &existing)) {
-    return;
-  }
-  // Duplicate key: keep the newer block.
-  auto* cur = reinterpret_cast<KVPair*>(base_->read_value(existing));
-  if (block_epoch(cur) < block_epoch(kv)) {
-    if (base_->update_value(existing,
-                            reinterpret_cast<std::uint64_t>(cur),
+  for (;;) {
+    Node* existing = nullptr;
+    if (base_->insert_node(kv->key, reinterpret_cast<std::uint64_t>(kv),
+                           &existing)) {
+      return;
+    }
+    // Duplicate key: keep the newer block.
+    auto* cur = reinterpret_cast<KVPair*>(base_->read_value(existing));
+    if (block_epoch(cur) >= block_epoch(kv)) {
+      es_.pDelete(kv);
+      return;
+    }
+    if (base_->update_value(existing, reinterpret_cast<std::uint64_t>(cur),
                             reinterpret_cast<std::uint64_t>(kv))) {
       es_.pDelete(cur);
       return;
     }
+    // A concurrent relink changed the node's value or linked a neighbour
+    // after it (update_value pins next[0]): compare again, or the newer
+    // block would be dropped.
   }
-  es_.pDelete(kv);
 }
 
 std::size_t BDLSkiplist::recover(int threads) {
   reset_index();
-  std::vector<KVPair*> blocks;
-  es_.recover([&](void* payload, std::uint64_t) {
-    blocks.push_back(static_cast<KVPair*>(payload));
-  });
-  if (threads <= 1) {
-    for (KVPair* kv : blocks) relink_recovered(kv, block_epoch(kv));
-  } else {
-    std::vector<std::thread> workers;
-    const std::size_t chunk = (blocks.size() + threads - 1) / threads;
-    for (int t = 0; t < threads; ++t) {
-      const std::size_t lo = t * chunk;
-      const std::size_t hi = std::min(blocks.size(), lo + chunk);
-      if (lo >= hi) break;
-      workers.emplace_back([this, &blocks, lo, hi] {
-        for (std::size_t i = lo; i < hi; ++i) {
-          relink_recovered(blocks[i], block_epoch(blocks[i]));
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-  }
-  return blocks.size();
+  const auto relink = [this](void* payload, std::uint64_t ce) {
+    relink_recovered(static_cast<KVPair*>(payload), ce);
+  };
+  return es_.recover(relink, threads).blocks_live;
 }
 
 }  // namespace bdhtm::skiplist

@@ -425,33 +425,12 @@ void KVStore::close() {
 
 std::size_t KVStore::recover(int threads) {
   for (auto& s : shards_) s->reset_index();
-  std::vector<std::pair<epoch::KVPair*, std::uint64_t>> blocks;
-  es_.recover([&](void* p, std::uint64_t ce) {
-    blocks.emplace_back(static_cast<epoch::KVPair*>(p), ce);
-  });
-  auto link_range = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      auto [kv, ce] = blocks[i];
-      shards_[static_cast<std::size_t>(shard_of(kv->key))]->relink_recovered(
-          kv, ce);
-    }
+  const auto relink = [this](void* p, std::uint64_t ce) {
+    auto* kv = static_cast<epoch::KVPair*>(p);
+    shards_[static_cast<std::size_t>(shard_of(kv->key))]->relink_recovered(
+        kv, ce);
   };
-  if (threads <= 1) {
-    link_range(0, blocks.size());
-  } else {
-    std::vector<std::thread> ws;
-    const std::size_t chunk =
-        (blocks.size() + static_cast<std::size_t>(threads) - 1) /
-        static_cast<std::size_t>(threads);
-    for (int t = 0; t < threads; ++t) {
-      const std::size_t lo = static_cast<std::size_t>(t) * chunk;
-      const std::size_t hi = std::min(blocks.size(), lo + chunk);
-      if (lo >= hi) break;
-      ws.emplace_back([&, lo, hi] { link_range(lo, hi); });
-    }
-    for (auto& t : ws) t.join();
-  }
-  return blocks.size();
+  return es_.recover(relink, threads).blocks_live;
 }
 
 }  // namespace bdhtm::svc

@@ -183,8 +183,9 @@ class KVStore {
   void close();
   bool closed() const { return closed_.load(std::memory_order_acquire); }
 
-  /// Sharded post-crash rebuild: reset every shard, ONE heap scan, route
-  /// each surviving block to its shard. Call before any submission.
+  /// Sharded post-crash rebuild: reset every shard, then ONE heap scan on
+  /// `threads` workers, each routing the live blocks it finds to their
+  /// shards. Call before any submission. Returns the live block count.
   std::size_t recover(int threads = 1);
 
   int shards() const { return static_cast<int>(shards_.size()); }

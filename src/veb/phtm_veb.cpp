@@ -1,7 +1,6 @@
 #include "veb/phtm_veb.hpp"
 
 #include <cassert>
-#include <thread>
 #include <type_traits>
 
 #include "common/rng.hpp"
@@ -354,28 +353,10 @@ void PHTMvEB::relink_recovered(KVPair* kv, std::uint64_t create_epoch) {
 
 std::size_t PHTMvEB::recover(int threads) {
   reset_index();
-  std::vector<std::pair<KVPair*, std::uint64_t>> blocks;
-  es_.recover([&](void* payload, std::uint64_t ce) {
-    blocks.emplace_back(static_cast<KVPair*>(payload), ce);
-  });
-  if (threads <= 1) {
-    for (auto& [kv, ce] : blocks) relink_recovered(kv, ce);
-  } else {
-    std::vector<std::thread> workers;
-    const std::size_t chunk = (blocks.size() + threads - 1) / threads;
-    for (int t = 0; t < threads; ++t) {
-      const std::size_t lo = t * chunk;
-      const std::size_t hi = std::min(blocks.size(), lo + chunk);
-      if (lo >= hi) break;
-      workers.emplace_back([this, &blocks, lo, hi] {
-        for (std::size_t i = lo; i < hi; ++i) {
-          relink_recovered(blocks[i].first, blocks[i].second);
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-  }
-  return blocks.size();
+  const auto relink = [this](void* payload, std::uint64_t ce) {
+    relink_recovered(static_cast<KVPair*>(payload), ce);
+  };
+  return es_.recover(relink, threads).blocks_live;
 }
 
 }  // namespace bdhtm::veb

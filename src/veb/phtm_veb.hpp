@@ -53,9 +53,9 @@ class PHTMvEB {
   std::optional<std::pair<std::uint64_t, std::uint64_t>> successor(
       std::uint64_t key);
 
-  /// Post-crash rebuild: runs the epoch-system recovery scan, then
-  /// reinserts every live KV block into a fresh DRAM index using
-  /// `threads` workers. Returns the number of live pairs.
+  /// Post-crash rebuild: resets the DRAM index and runs the epoch-system
+  /// recovery scan on `threads` workers, each reinserting the live KV
+  /// blocks it finds. Returns the number of live pairs.
   std::size_t recover(int threads = 1);
 
   /// Service-layer batch entry (DESIGN.md §10): apply ops[0..n) under

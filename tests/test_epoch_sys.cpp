@@ -298,6 +298,74 @@ TEST(EpochRecovery, RecoveryIsIdempotentAcrossSecondCrash) {
   EXPECT_TRUE(rec2.live.empty());
 }
 
+// ---- Recovery write-back: the scan persists only what it changes ----
+
+/// Crash image with `live` unchanged live blocks and a fixed set of
+/// changed ones: 3 retired past the frontier (resurrected), 2 created
+/// past it and 2 never stamped (discarded), 1 corrupted (quarantined).
+/// Blocks whose epoch never persisted reach the media by eviction.
+void build_writeback_image(Env& env, int live) {
+  auto evict = [&](void* p) {
+    env.dev.persist_nontxn(PAllocator::header_of(p), kCacheLineSize);
+  };
+  auto stamped = [&] {
+    const auto e = env.es->beginOp();
+    void* p = env.es->pNew(16);
+    EpochSys::set_epoch_nontx(env.dev, p, e);
+    env.es->pTrack(p);
+    env.es->endOp();
+    return p;
+  };
+  std::vector<void*> blocks;
+  for (int i = 0; i < live + 4; ++i) blocks.push_back(stamped());
+  BlockHeader* bad = PAllocator::header_of(blocks[0]);
+  bad->user_size ^= 1;
+  env.dev.mark_dirty(bad, sizeof(*bad));
+  evict(blocks[0]);
+  env.es->persist_all();
+  env.es->beginOp();
+  for (int i = 1; i <= 3; ++i) {
+    env.es->pRetire(blocks[i]);
+    evict(blocks[i]);
+  }
+  env.es->endOp();
+  for (int i = 0; i < 2; ++i) {
+    evict(stamped());
+    evict(env.es->pNew(16));
+  }
+  env.es.reset();
+  env.dev.simulate_crash();
+}
+
+TEST(EpochRecovery, WritesBackOnlyChangedHeaders) {
+  constexpr std::uint64_t kRootLines = 1;  // the persistent root's lines
+  for (const int live : {1000, 9000}) {
+    for (const int threads : {1, 4}) {
+      Env env(tiny());
+      build_writeback_image(env, live);
+      PAllocator pa(env.dev, PAllocator::Mode::kAttach);
+      EpochSys::Config cfg;
+      cfg.start_advancer = false;
+      cfg.attach = true;
+      EpochSys es(pa, cfg);
+      std::atomic<std::uint64_t> handed{0};
+      const std::uint64_t clwbs0 = env.dev.stats().clwbs.load();
+      const auto rep = es.recover(
+          [&](void*, std::uint64_t) { handed.fetch_add(1); }, threads);
+      const std::uint64_t clwbs = env.dev.stats().clwbs.load() - clwbs0;
+      SCOPED_TRACE(testing::Message()
+                   << "live=" << live << " threads=" << threads);
+      EXPECT_EQ(handed.load(), rep.blocks_live);
+      EXPECT_EQ(rep.blocks_live, static_cast<std::uint64_t>(live) + 3);
+      EXPECT_EQ(rep.blocks_resurrected, 3u);
+      EXPECT_EQ(rep.blocks_discarded, 4u);
+      EXPECT_EQ(rep.checksum_failures, 1u);
+      EXPECT_EQ(rep.headers_persisted, 3u + 4u + 1u);
+      EXPECT_EQ(clwbs, rep.headers_persisted + kRootLines);
+    }
+  }
+}
+
 // ---- The BDL property, end to end ----
 //
 // A single thread performs a sequence of inserts into a trivial

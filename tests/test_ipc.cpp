@@ -521,28 +521,35 @@ TEST(Ipc, LeaseExpiryReclaimsSilentClient) {
 TEST(Ipc, ServerCrashRecoversAcknowledgedPrefix) {
   // Profile run: count media evictions for trigger placement.
   const std::string dir = make_rendezvous_dir();
-  auto drive = [&](IpcWorld& w, int nclients, int ops,
-                   const char* tag) -> bool {
+  // Up to `rounds` rounds of put clients against one server, each round
+  // on fresh key bases, stopping once the armed plan (if any) tripped.
+  // Appends every client's ack log to `logs`.
+  auto drive = [&](IpcWorld& w, int nclients, int ops, const char* tag,
+                   int rounds, std::vector<std::string>& logs) -> bool {
     svc::KVStore store(*w.es, ipc_store_cfg(4));
     ipc::ShmServer::Config scfg;
     scfg.dir = dir;
     scfg.max_sessions = 4;
     scfg.poll_us = 1'000;
     ipc::ShmServer server(store, scfg);
-    std::vector<pid_t> pids;
-    for (int i = 0; i < nclients; ++i) {
-      pids.push_back(spawn_client({
-          "--dir=" + dir,
-          "--slots=8",
-          "--flight=4",
-          "--ops=" + std::to_string(ops),
-          "--key-base=" + std::to_string(1'000'000 * (i + 1)),
-          "--mode=put",
-          "--log=" + dir + "/" + tag + std::to_string(i) + ".log",
-      }));
-    }
     bool ok = true;
-    for (pid_t p : pids) ok = wait_exit(p, nullptr) == 0 && ok;
+    for (int r = 0; r < rounds && !w.dev->fault_tripped(); ++r) {
+      std::vector<pid_t> pids;
+      for (int i = 0; i < nclients; ++i) {
+        logs.push_back(dir + "/" + tag + std::to_string(r) + "_" +
+                       std::to_string(i) + ".log");
+        pids.push_back(spawn_client({
+            "--dir=" + dir,
+            "--slots=8",
+            "--flight=4",
+            "--ops=" + std::to_string(ops),
+            "--key-base=" + std::to_string(1'000'000 * (i + 1) + 10'000 * r),
+            "--mode=put",
+            "--log=" + logs.back(),
+        }));
+      }
+      for (pid_t p : pids) ok = wait_exit(p, nullptr) == 0 && ok;
+    }
     server.close();
     store.close();
     return ok;
@@ -556,7 +563,8 @@ TEST(Ipc, ServerCrashRecoversAcknowledgedPrefix) {
   std::uint64_t evictions = 0;
   {
     IpcWorld w;
-    ASSERT_TRUE(drive(w, 2, kOps, "p"));
+    std::vector<std::string> logs;
+    ASSERT_TRUE(drive(w, 2, kOps, "p", 1, logs));
     evictions = w.dev->fault_events(nvm::FaultEvent::kEviction);
   }
   ASSERT_GT(evictions, 0u);
@@ -566,14 +574,16 @@ TEST(Ipc, ServerCrashRecoversAcknowledgedPrefix) {
   plan.trigger_at = evictions / 2;
   IpcWorld w(&plan);
   // The armed run needn't ack every op (the media freezes mid-run and
-  // timing shifts); the oracle is built from what WAS acked.
-  drive(w, 2, kOps, "a");
+  // timing shifts); the oracle is built from what WAS acked. It can also
+  // evict fewer lines than the profile run did, so up to 8 extra rounds
+  // run until the plan trips.
+  std::vector<std::string> armed_logs;
+  drive(w, 2, kOps, "a", 9, armed_logs);
   ASSERT_TRUE(w.dev->fault_tripped()) << "plan never tripped";
 
   std::map<std::uint64_t, Ack> acked;
-  for (int i = 0; i < 2; ++i) {
-    for (const Ack& a :
-         parse_acks(dir + "/a" + std::to_string(i) + ".log")) {
+  for (const std::string& log : armed_logs) {
+    for (const Ack& a : parse_acks(log)) {
       if (a.op == ipc::kOpPut && a.status == ipc::kStOk) acked[a.key] = a;
     }
   }

@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -133,6 +134,46 @@ TEST(PAllocator, ForEachBlockSeesLargeBlocks) {
   EXPECT_TRUE(found.count(small));
   EXPECT_TRUE(found.count(large));
   EXPECT_EQ(found.size(), 2u);
+}
+
+TEST(PAllocator, ParallelWalkVisitsEachBlockOnce) {
+  // Large spans between sized superblocks: a worker must claim a span as
+  // one unit and never read its interior as superblock headers.
+  nvm::Device dev(cfg_mb(32));
+  PAllocator pa(dev);
+  std::set<void*> live;
+  for (int i = 0; i < 20000; ++i) {
+    live.insert(pa.alloc(i % 3 == 0 ? 100 : 16));
+    if (i % 5000 == 0) live.insert(pa.alloc(1 << 20));
+  }
+  constexpr int kWorkers = 4;
+  std::vector<std::vector<void*>> seen(kWorkers);
+  std::vector<int> done(kWorkers, 0);
+  pa.for_each_block(
+      kWorkers,
+      [&](int w, BlockHeader*, void* payload) { seen[w].push_back(payload); },
+      [&](int w) { ++done[w]; });
+  std::multiset<void*> all;
+  for (const auto& v : seen) all.insert(v.begin(), v.end());
+  EXPECT_EQ(std::set<void*>(all.begin(), all.end()), live);
+  EXPECT_EQ(all.size(), live.size()) << "a block was visited twice";
+  EXPECT_EQ(done, std::vector<int>(kWorkers, 1));
+}
+
+TEST(PAllocator, ParallelWalkRethrowsAfterEveryWorkerIsDone) {
+  nvm::Device dev(cfg_mb(16));
+  PAllocator pa(dev);
+  for (int i = 0; i < 10000; ++i) pa.alloc(16);
+  constexpr int kWorkers = 4;
+  std::vector<int> done(kWorkers, 0);
+  EXPECT_THROW(pa.for_each_block(
+                   kWorkers,
+                   [](int, BlockHeader*, void*) {
+                     throw std::runtime_error("visit failed");
+                   },
+                   [&](int w) { ++done[w]; }),
+               std::runtime_error);
+  EXPECT_EQ(done, std::vector<int>(kWorkers, 1));
 }
 
 TEST(PAllocator, RebuildFreeListsRecoversFreeBlocks) {

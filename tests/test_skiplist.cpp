@@ -3,6 +3,7 @@
 // strict durability, BDL-Skiplist buffered durability and recovery.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <set>
@@ -11,6 +12,7 @@
 
 #include "common/rng.hpp"
 #include "epoch/epoch_sys.hpp"
+#include "epoch/kvpair.hpp"
 #include "htm/engine.hpp"
 #include "nvm/device.hpp"
 #include "skiplist/bdl_skiplist.hpp"
@@ -399,6 +401,49 @@ TEST(BDLSkiplistTest, MultithreadedRecovery) {
   env.es->persist_all();
   auto rec = env.crash_and_recover(/*threads=*/4);
   for (auto& [k, v] : ref) ASSERT_EQ(rec->find(k), v) << k;
+}
+
+// Recovery workers relink at once. A duplicate's value update pins the
+// node's level-0 link, so it fails when another worker links a neighbour
+// after the node meanwhile; the relink must then compare again instead
+// of dropping the newer block. Two threads step through the keys in
+// lockstep: one relinks the newer copy of key 2i while the other links
+// key 2i+1 right behind it.
+TEST(BDLSkiplistTest, ConcurrentRelinkKeepsNewerDuplicate) {
+  BdlEnv env;
+  constexpr std::uint64_t kKeys = 5000;
+  auto block = [&](std::uint64_t k, std::uint64_t v, std::uint64_t e) {
+    auto* kv =
+        static_cast<epoch::KVPair*>(env.es->pNew(sizeof(epoch::KVPair)));
+    kv->key = k;
+    kv->value = v;
+    epoch::EpochSys::set_epoch_nontx(env.dev, kv, e);
+    return kv;
+  };
+  constexpr std::uint64_t kOld = epoch::EpochSys::kFirstEpoch;
+  std::vector<epoch::KVPair*> newer, odd;
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    env.sl->relink_recovered(block(2 * i, 1, kOld), kOld);
+    newer.push_back(block(2 * i, 2, kOld + 1));
+    odd.push_back(block(2 * i + 1, 3, kOld));
+  }
+  std::atomic<std::uint64_t> reached[2] = {0, 0};
+  auto step = [&](int me, const std::vector<epoch::KVPair*>& blocks) {
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+      reached[me].store(i + 1);
+      while (reached[1 - me].load() < i + 1) {
+      }
+      env.sl->relink_recovered(blocks[i],
+                               epoch::EpochSys::get_epoch(blocks[i]));
+    }
+  };
+  std::thread updater(step, 0, std::cref(newer));
+  std::thread linker(step, 1, std::cref(odd));
+  updater.join();
+  linker.join();
+  for (std::uint64_t k = 0; k < 2 * kKeys; ++k) {
+    ASSERT_EQ(env.sl->find(k), k % 2 == 0 ? 2u : 3u) << "key " << k;
+  }
 }
 
 }  // namespace

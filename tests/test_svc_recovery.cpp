@@ -21,10 +21,15 @@
 #include <memory>
 #include <vector>
 
+#include "alloc/pallocator.hpp"
 #include "common/rng.hpp"
 #include "epoch/epoch_sys.hpp"
+#include "epoch/kvpair.hpp"
+#include "hash/bd_spash.hpp"
 #include "nvm/device.hpp"
+#include "skiplist/bdl_skiplist.hpp"
 #include "svc/kvstore.hpp"
+#include "veb/phtm_veb.hpp"
 
 namespace bdhtm {
 namespace {
@@ -269,6 +274,195 @@ TEST(SvcRecovery, SkiplistMediaFreeze) {
   const auto ev = FaultEvent::kClwb;
   crash_recover_check(svc::Backend::kSkiplist, 1, ev,
                       totals[static_cast<int>(ev)] / 2, 1);
+}
+
+// ---- One-pass parallel recovery (DESIGN.md §5, "Recovery scan") ----
+//
+// One crash image, built through the epoch-system API so that it holds
+// every kind of block the scan classifies, recovered through each
+// structure's recover() on 1 and on 4 workers. Workers claim superblocks
+// in whatever order they race to, so the image spans several of them and
+// the two copies of a duplicated key sit in different ones.
+
+constexpr std::uint64_t kImageKeys = 10'000;  // ~2.5 superblocks of 64 B
+constexpr std::uint64_t kPastFrontier = 40;   // per discarded kind
+constexpr int kImageUbits = 14;               // vEB universe > every key
+
+std::uint64_t image_value(std::uint64_t key, std::uint64_t gen) {
+  return (key << 8) | gen;
+}
+
+/// Builds the crash image in `w` and crashes it. Live pairs fill several
+/// superblocks; every 97th key has a newer duplicate in a later
+/// superblock (the older copy is never retired, so both are live); every
+/// 89th pair was retired in an epoch past the frontier (resurrected);
+/// pairs created past the frontier and unstamped pool blocks are
+/// discarded; and one header is corrupted (quarantined). Blocks whose
+/// epoch never persisted reach the media by eviction. Returns the map
+/// recovery must produce.
+Oracle build_crash_image(SvcFaultWorld& w) {
+  epoch::EpochSys& es = *w.es;
+  nvm::Device& dev = *w.dev;
+  auto put = [&](std::uint64_t key, std::uint64_t gen) {
+    const std::uint64_t e = es.beginOp();
+    epoch::KVPair* kv = epoch::make_kv(es, key, image_value(key, gen));
+    epoch::EpochSys::set_epoch_nontx(dev, kv, e);
+    es.pTrack(kv);
+    es.endOp();
+    return kv;
+  };
+  auto evict = [&](void* payload) {  // header and pair share one line
+    dev.persist_nontxn(alloc::PAllocator::header_of(payload), kCacheLineSize);
+  };
+  Oracle expect;
+  std::vector<epoch::KVPair*> blocks;
+  for (std::uint64_t k = 0; k < kImageKeys; ++k) {
+    blocks.push_back(put(k, 0));
+    expect[k] = image_value(k, 0);
+  }
+  es.advance();  // the duplicates carry a newer epoch
+  for (std::uint64_t k = 0; k < kImageKeys; k += 97) {
+    put(k, 1);
+    expect[k] = image_value(k, 1);
+  }
+  constexpr std::uint64_t kCorrupt = 50;
+  alloc::BlockHeader* bad = alloc::PAllocator::header_of(blocks[kCorrupt]);
+  bad->user_size ^= 1;
+  dev.mark_dirty(bad, sizeof(*bad));
+  evict(blocks[kCorrupt]);
+  expect.erase(kCorrupt);
+  es.persist_all();
+
+  es.beginOp();
+  for (std::uint64_t k = 1; k < kImageKeys; k += 89) {
+    if (k % 97 == 0 || k == kCorrupt) continue;
+    es.pRetire(blocks[k]);
+    evict(blocks[k]);
+  }
+  es.endOp();
+  for (std::uint64_t i = 0; i < kPastFrontier; ++i) {
+    evict(put(kImageKeys + i, 0));
+    evict(es.pNew(sizeof(epoch::KVPair)));
+  }
+  w.crash_and_attach();
+  return expect;
+}
+
+enum class Entry { kStore, kVeb, kHash, kSkiplist };
+constexpr Entry kEntries[] = {Entry::kStore, Entry::kVeb, Entry::kHash,
+                              Entry::kSkiplist};
+const char* entry_name(Entry e) {
+  switch (e) {
+    case Entry::kStore: return "KVStore";
+    case Entry::kVeb: return "PHTMvEB";
+    case Entry::kHash: return "BDSpash";
+    case Entry::kSkiplist: return "BDLSkiplist";
+  }
+  return "?";
+}
+
+struct Recovered {
+  Oracle map;
+  epoch::RecoveryReport rep;
+};
+
+/// Recover `w`'s crashed heap through `entry`'s recover(threads) and read
+/// back every key the image ever wrote.
+Recovered recover_through(Entry entry, SvcFaultWorld& w, int threads) {
+  Recovered out;
+  auto run = [&](auto& structure, auto find) {
+    structure.recover(threads);
+    out.rep = w.es->last_recovery();
+    for (std::uint64_t k = 0; k < kImageKeys + kPastFrontier; ++k) {
+      if (const auto v = find(structure, k)) out.map[k] = *v;
+    }
+  };
+  const auto find = [](auto& s, std::uint64_t k) { return s.find(k); };
+  switch (entry) {
+    case Entry::kStore: {
+      svc::KVStoreConfig cfg = world_cfg(svc::Backend::kVebTree, 2);
+      cfg.start_workers = false;
+      cfg.shard_opt.veb_ubits = kImageUbits;
+      svc::KVStore store(*w.es, cfg);
+      run(store, [](svc::KVStore& s, std::uint64_t k) {
+        return s.shard(s.shard_of(k)).find(k);
+      });
+      break;
+    }
+    case Entry::kVeb: {
+      veb::PHTMvEB t(*w.es, kImageUbits);
+      run(t, find);
+      break;
+    }
+    case Entry::kHash: {
+      hash::BDSpash t(*w.es);
+      run(t, find);
+      break;
+    }
+    case Entry::kSkiplist: {
+      skiplist::BDLSkiplist t(*w.es);
+      run(t, find);
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(SvcRecovery, ParallelScanMatchesSerialThroughEveryEntryPoint) {
+  for (const Entry entry : kEntries) {
+    Recovered got[2];
+    const int threads[2] = {1, 4};
+    for (int i = 0; i < 2; ++i) {
+      SvcFaultWorld w;
+      const Oracle expect = build_crash_image(w);
+      got[i] = recover_through(entry, w, threads[i]);
+      EXPECT_TRUE(got[i].map == expect)
+          << entry_name(entry) << " threads=" << threads[i] << ": "
+          << got[i].map.size() << " keys, expected " << expect.size();
+    }
+    const epoch::RecoveryReport& a = got[0].rep;
+    const epoch::RecoveryReport& b = got[1].rep;
+    const char* what = entry_name(entry);
+    EXPECT_EQ(a.blocks_scanned, b.blocks_scanned) << what;
+    EXPECT_EQ(a.blocks_live, b.blocks_live) << what;
+    EXPECT_EQ(a.blocks_resurrected, b.blocks_resurrected) << what;
+    EXPECT_EQ(a.blocks_discarded, b.blocks_discarded) << what;
+    EXPECT_EQ(a.blocks_quarantined, b.blocks_quarantined) << what;
+    EXPECT_EQ(a.checksum_failures, b.checksum_failures) << what;
+    EXPECT_EQ(a.epoch_violations, b.epoch_violations) << what;
+    EXPECT_EQ(a.headers_persisted, b.headers_persisted) << what;
+    // The image exercises every classification.
+    EXPECT_GT(b.blocks_resurrected, 0u) << what;
+    EXPECT_EQ(b.blocks_discarded, 2 * kPastFrontier) << what;
+    EXPECT_EQ(b.checksum_failures, 1u) << what;
+    EXPECT_EQ(b.headers_persisted,
+              b.blocks_resurrected + b.blocks_discarded + 1)
+        << what;
+  }
+}
+
+// A recovery persists everything it changed, on every worker: crashing
+// again at once (no operation in between) and recovering on a different
+// worker count gives the same map, and the second scan finds nothing to
+// resurrect, discard or write back.
+TEST(SvcRecovery, RecrashRightAfterRecoveryIsIdempotent) {
+  for (const Entry entry : kEntries) {
+    SvcFaultWorld w;
+    const Oracle expect = build_crash_image(w);
+    const Recovered first = recover_through(entry, w, 4);
+    w.crash_and_attach();
+    const Recovered second = recover_through(entry, w, 1);
+    const char* what = entry_name(entry);
+    EXPECT_TRUE(first.map == expect) << what;
+    EXPECT_TRUE(second.map == first.map)
+        << what << ": " << second.map.size() << " keys after the re-crash, "
+        << first.map.size() << " before";
+    EXPECT_EQ(second.rep.blocks_resurrected, 0u) << what;
+    EXPECT_EQ(second.rep.blocks_discarded, 0u) << what;
+    EXPECT_EQ(second.rep.headers_persisted, 0u) << what;
+    EXPECT_EQ(second.rep.blocks_quarantined, 1u) << what;  // still leaked
+    EXPECT_EQ(second.rep.checksum_failures, 0u) << what;
+  }
 }
 
 }  // namespace
