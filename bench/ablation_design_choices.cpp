@@ -6,11 +6,12 @@
 //    argues the hybrid matters for large cold values; for small values
 //    buffering alone should win, and immediate persistence should
 //    approach strict-DL cost.
-// B. Listing-1 preallocation reuse: the thread-local `new_blk` avoids an
-//    allocator round trip whenever an operation updates in place. This
-//    ablation measures the allocation rate with and without in-place
-//    opportunities (Zipfian vs uniform updates) to expose the reuse
-//    saving the paper's lines 9-12 encode.
+// B. Listing-1 preallocation reuse: the per-thread block pool
+//    (epoch::KVPool) hands a block an operation did not link to the next
+//    one, which avoids an allocator round trip whenever an operation
+//    updates in place. This ablation measures the allocation rate with
+//    and without in-place opportunities (Zipfian vs uniform updates) to
+//    expose the reuse saving the paper's lines 9-12 encode.
 // C. HTM capacity: PHTM-vEB operations enclose a whole doubly-log
 //    traversal; shrinking the engine's speculative write capacity forces
 //    capacity aborts and fallback serialization (paper §2.2's

@@ -4,7 +4,9 @@
 // registration. A batch executor instead opens ONE envelope and applies
 // several structure operations inside it, amortizing the seq_cst
 // announce traffic and the per-transaction overhead across the batch.
-// Two rules make that sound:
+// A single operation is the one-op case (apply_one below), so each BDL
+// structure implements Listing 1 once, in its apply_batch. Two rules
+// make batching sound:
 //
 //   1. Every block an operation stamps inside the envelope carries the
 //      ENVELOPE's epoch, so when the envelope closes, endOp() files the
@@ -24,6 +26,8 @@
 // cannot be rolled back. EnvelopeRestart::applied reports that prefix;
 // re-running it would double-apply (a remove would report "absent" for a
 // key it removed). The HTM path always reports 0 — aborts roll back.
+// For one op, applied is always 0 and the envelope it closes filed
+// nothing, so the restart is Listing 1's abortOp + beginOp.
 #pragma once
 
 #include <cstddef>
@@ -80,6 +84,16 @@ std::uint64_t run_envelope(EpochSys& es, std::size_t n, ApplyFn&& apply) {
   }
   es.endOp();
   return e;
+}
+
+/// Run one operation as a one-op batch under its own envelope — the
+/// single-op insert/remove/find of every BDL structure is this call, so
+/// Listing 1 is written once, in the structure's apply_batch.
+template <typename Structure>
+BatchOp apply_one(EpochSys& es, Structure& s, BatchOp op) {
+  run_envelope(es, 1,
+               [&](std::size_t, std::size_t) { s.apply_batch(&op, 1); });
+  return op;
 }
 
 }  // namespace bdhtm::epoch

@@ -227,10 +227,10 @@ class EpochSys {
   void abortOp();
 
   /// True when the calling thread has an operation envelope open (a
-  /// beginOp() without its matching endOp()/abortOp()). The service
-  /// layer's batch executor opens ONE envelope around several structure
-  /// operations; structures consult this to skip their own registration
-  /// when running under a caller-owned envelope (epoch/batch.hpp).
+  /// beginOp() without its matching endOp()/abortOp()). Structures run
+  /// their operations only under an envelope their caller opened, one
+  /// around a whole batch or a single op (epoch/batch.hpp), and assert
+  /// this.
   bool in_op() { return tstate().op_epoch != kInvalidEpoch; }
 
   /// Epoch of the calling thread's open envelope; kInvalidEpoch when no

@@ -11,6 +11,7 @@ namespace bdhtm::hash {
 
 using epoch::KVPair;
 using htm::kOldSeeNewCode;
+using Kind = epoch::BatchOp::Kind;
 
 namespace {
 constexpr std::uint8_t kFullBucket = 0x62;
@@ -86,60 +87,6 @@ BDSpash::Bucket& BDSpash::locate(Acc& acc, std::uint64_t h) {
   auto* seg = reinterpret_cast<Segment*>(
       acc.load(&dir[h & ((std::uint64_t{1} << gd) - 1)]));
   return seg->buckets[(h >> 48) & (kBucketsPerSegment - 1)];
-}
-
-// Listing 1 retry structure shared by insert and remove, built on the
-// shared policy-aware retry loop: the transaction subscribes to h's
-// stripe footprint; kFullBucket / OldSeeNewException surface as
-// FallbackRestart from both the transactional and fallback paths.
-template <typename Body, typename Prep>
-bool BDSpash::mutate(std::uint64_t h, Body&& body, Prep&& prep) {
-  const htm::StripeMask mask = policy_.mask_of_hash(h);
-  for (;;) {  // retry_regist
-    const std::uint64_t op_epoch = es_.beginOp();
-    prep(op_epoch);
-    OpCtl ctl;
-    bool restart_epoch = false;
-
-    try {
-      htm::elide<bool>(policy_, mask, [&](auto& acc) -> bool {
-        ctl = OpCtl{};
-        body(acc, op_epoch, ctl);
-        return true;
-      });
-    } catch (const htm::FallbackRestart& fr) {
-      if (fr.code == kFullBucket) {
-        ctl.full = true;
-      } else {
-        assert(fr.code == kOldSeeNewCode);
-        restart_epoch = true;
-      }
-    }
-
-    if (restart_epoch) {
-      es_.abortOp();
-      continue;
-    }
-    if (ctl.full) {
-      es_.abortOp();
-      split(h);
-      continue;
-    }
-
-    // op_done: persistence and reclamation strictly after the txn.
-    auto& tc = tctx_[thread_id()].value;
-    if (ctl.used_new) {
-      tc.new_blk = nullptr;
-    } else if (tc.new_blk != nullptr) {
-      auto* hdr = alloc::PAllocator::header_of(tc.new_blk);
-      hdr->create_epoch = alloc::kInvalidEpoch;
-      dev_.mark_dirty(&hdr->create_epoch, 8);
-    }
-    if (ctl.retire != nullptr) es_.pRetire(ctl.retire);
-    if (ctl.persist != nullptr) route_persist(ctl.persist, h);
-    es_.endOp();
-    return ctl.result;
-  }
 }
 
 void BDSpash::route_persist(KVPair* blk, std::uint64_t h) {
@@ -238,54 +185,16 @@ void BDSpash::get_in_tx(Acc& acc, std::uint64_t h, std::uint64_t key,
 }
 
 bool BDSpash::insert(std::uint64_t key, std::uint64_t value) {
-  assert(key != kEmptyKey);
-  const std::uint64_t h = mix(key);
-  hotspot_.touch(h);
-  auto& tc = tctx_[thread_id()].value;
-  return mutate(
-      h,
-      [&](auto& acc, std::uint64_t op_epoch, OpCtl& ctl) {
-        insert_in_tx(acc, op_epoch, h, key, value, tc.new_blk, ctl);
-        if (ctl.stale) acc.fail(kOldSeeNewCode);
-        if (ctl.full) acc.fail(kFullBucket);
-      },
-      [&](std::uint64_t) {
-        if (tc.new_blk == nullptr) {
-          auto* kv = static_cast<KVPair*>(es_.pNew(block_bytes_));
-          kv->key = key;
-          kv->value = value;
-          dev_.mark_dirty(kv, sizeof(KVPair));
-          tc.new_blk = kv;
-        } else {
-          epoch::reinit_kv(es_, tc.new_blk, key, value);
-        }
-      });
+  return epoch::apply_one(es_, *this, {Kind::kPut, key, value}).ok;
 }
 
 bool BDSpash::remove(std::uint64_t key) {
-  const std::uint64_t h = mix(key);
-  return mutate(
-      h,
-      [&](auto& acc, std::uint64_t op_epoch, OpCtl& ctl) {
-        remove_in_tx(acc, op_epoch, h, key, ctl);
-        if (ctl.stale) acc.fail(kOldSeeNewCode);
-      },
-      [](std::uint64_t) {});
+  return epoch::apply_one(es_, *this, {Kind::kRemove, key}).ok;
 }
 
 std::optional<std::uint64_t> BDSpash::find(std::uint64_t key) {
-  const std::uint64_t h = mix(key);
-  hotspot_.touch(h);
-  es_.beginOp();  // pin the epoch against reclamation
-  OpCtl ctl;
-  htm::elide<bool>(policy_, policy_.mask_of_hash(h), [&](auto& acc) -> bool {
-    ctl = OpCtl{};
-    get_in_tx(acc, h, key, ctl);
-    return true;
-  });
-  es_.endOp();
-  return ctl.result ? std::optional<std::uint64_t>{ctl.out_value}
-                    : std::nullopt;
+  const epoch::BatchOp op = epoch::apply_one(es_, *this, {Kind::kGet, key});
+  return op.ok ? std::optional<std::uint64_t>{op.out_value} : std::nullopt;
 }
 
 void BDSpash::split(std::uint64_t h) {
@@ -352,28 +261,20 @@ void BDSpash::split(std::uint64_t h) {
 }
 
 void BDSpash::apply_batch(epoch::BatchOp* ops, std::size_t n) {
-  using Kind = epoch::BatchOp::Kind;
   assert(es_.in_op() && "apply_batch runs under the caller's envelope");
   if (n == 0) return;
   const std::uint64_t op_epoch = es_.current_op_epoch();
   auto& tc = tctx_[thread_id()].value;
 
+  // Puts and gets feed the hotspot detector; each put takes its block
+  // from the per-thread pool outside the transaction (see PHTMvEB).
   tc.blks.assign(n, nullptr);
   for (std::size_t i = 0; i < n; ++i) {
+    if (ops[i].kind == Kind::kRemove) continue;
     hotspot_.touch(mix(ops[i].key));
     if (ops[i].kind != Kind::kPut) continue;
     assert(ops[i].key != kEmptyKey);
-    if (tc.pool.empty()) {
-      auto* kv = static_cast<KVPair*>(es_.pNew(block_bytes_));
-      kv->key = ops[i].key;
-      kv->value = ops[i].value;
-      dev_.mark_dirty(kv, sizeof(KVPair));
-      tc.blks[i] = kv;
-    } else {
-      tc.blks[i] = tc.pool.back();
-      tc.pool.pop_back();
-      epoch::reinit_kv(es_, tc.blks[i], ops[i].key, ops[i].value);
-    }
+    tc.blks[i] = tc.pool.take(es_, block_bytes_, ops[i].key, ops[i].value);
   }
   tc.ctls.assign(n, OpCtl{});
 
@@ -432,30 +333,15 @@ void BDSpash::apply_batch(epoch::BatchOp* ops, std::size_t n) {
 void BDSpash::finish_batch(epoch::BatchOp* ops, std::size_t m,
                            std::size_t n) {
   auto& tc = tctx_[thread_id()].value;
-  for (std::size_t i = 0; i < m; ++i) {
-    OpCtl& ctl = tc.ctls[i];
-    if (KVPair* nb = tc.blks[i]; nb != nullptr && !ctl.used_new) {
-      auto* hdr = alloc::PAllocator::header_of(nb);
-      hdr->create_epoch = alloc::kInvalidEpoch;
-      dev_.mark_dirty(&hdr->create_epoch, 8);
-      tc.pool.push_back(nb);
-    }
-    tc.blks[i] = nullptr;
+  for (std::size_t i = 0; i < n; ++i) {  // see PHTMvEB::finish_batch
+    const OpCtl& ctl = tc.ctls[i];
+    const bool linked = i < m && ctl.used_new;
+    if (tc.blks[i] != nullptr && !linked) tc.pool.give_back(es_, tc.blks[i]);
+    if (i >= m) continue;
     if (ctl.retire != nullptr) es_.pRetire(ctl.retire);
     if (ctl.persist != nullptr) route_persist(ctl.persist, mix(ops[i].key));
     ops[i].ok = ctl.result;
     ops[i].out_value = ctl.out_value;
-  }
-  for (std::size_t i = m; i < n; ++i) {  // recycle the restarted suffix
-    if (KVPair* nb = tc.blks[i]; nb != nullptr) {
-      auto* hdr = alloc::PAllocator::header_of(nb);
-      if (hdr->create_epoch != alloc::kInvalidEpoch) {
-        hdr->create_epoch = alloc::kInvalidEpoch;
-        dev_.mark_dirty(&hdr->create_epoch, 8);
-      }
-      tc.pool.push_back(nb);
-      tc.blks[i] = nullptr;
-    }
   }
 }
 

@@ -2,15 +2,18 @@
 // machines with buffered durability.
 //
 // The directory, segments and buckets live in DRAM; bucket slots point to
-// KVPair blocks in NVM managed by the epoch system. Every operation is
-// one hardware transaction following the paper's Listing 1 exactly
+// KVPair blocks in NVM managed by the epoch system. Every operation runs
+// in one hardware transaction following the paper's Listing 1 exactly
 // (epoch stamp, OldSeeNewException, out-of-place replace, post-commit
-// pRetire/pTrack). The hotspot detector decides the persistence route:
-// hot or small-cold blocks are tracked by the epoch system for delayed,
-// batched write-back; large cold blocks are persisted immediately to
-// optimize cache usage and NVM bandwidth. Small cold writes are NOT
-// coalesced into chunks — the epoch system already batches them (the
-// paper's two reasons are quoted in DESIGN.md).
+// pRetire/pTrack). The protocol is written once, in apply_batch; the
+// single-op insert/remove/find are one-op batches (epoch::apply_one).
+// Puts and gets feed the hotspot detector, which decides the
+// persistence route: hot or small-cold blocks are tracked by the epoch
+// system for delayed, batched write-back; large cold blocks are
+// persisted immediately to optimize cache usage and NVM bandwidth.
+// Small cold writes are NOT coalesced into chunks — the epoch system
+// already batches them (the paper's two reasons are quoted in
+// DESIGN.md).
 //
 // On an eADR device the epoch system disables its write-back work
 // automatically, so the same binary runs on both platforms (§4.3).
@@ -65,7 +68,7 @@ class BDSpash {
   /// Post-crash rebuild; returns the number of live pairs.
   std::size_t recover(int threads = 1);
 
-  /// Service-layer batch entry (DESIGN.md §10): apply ops[0..n) in one
+  /// The one operation path (DESIGN.md §10): apply ops[0..n) in one
   /// elided transaction under the CALLER's epoch envelope. Full buckets
   /// are split internally and the batch retried; OldSeeNew throws
   /// epoch::EnvelopeRestart (see epoch/batch.hpp).
@@ -113,23 +116,20 @@ class BDSpash {
     std::uint64_t out_value = 0;  // get result
   };
   struct ThreadCtx {
-    epoch::KVPair* new_blk = nullptr;
     // Batch scratch (see PHTMvEB::ThreadCtx).
-    std::vector<epoch::KVPair*> pool;
+    epoch::KVPool pool;
     std::vector<epoch::KVPair*> blks;
     std::vector<OpCtl> ctls;
   };
 
-  template <typename Body, typename Prep>
-  bool mutate(std::uint64_t key_hash, Body&& body, Prep&& prep);
   Segment* make_segment(std::uint64_t depth);
   void init_directory(int depth);
   void split(std::uint64_t key_hash);
   template <typename Acc>
   Bucket& locate(Acc& acc, std::uint64_t h);
-  // Accessor-generic op bodies shared by the single-op paths and
-  // apply_batch; report OldSeeNew / full bucket via ctl instead of
-  // acc.fail() so batch callers can attribute the failing op.
+  // Accessor-generic op bodies of apply_batch, run on the transactional
+  // and the fallback path; they report OldSeeNew / full bucket via ctl
+  // instead of acc.fail() so apply_batch can attribute the failing op.
   template <typename Acc>
   void insert_in_tx(Acc& acc, std::uint64_t op_epoch, std::uint64_t h,
                     std::uint64_t key, std::uint64_t value,

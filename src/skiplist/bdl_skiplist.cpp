@@ -5,6 +5,7 @@
 namespace bdhtm::skiplist {
 
 using epoch::KVPair;
+using Kind = epoch::BatchOp::Kind;
 
 namespace {
 std::uint64_t block_epoch(const KVPair* kv) {
@@ -17,35 +18,14 @@ BDLSkiplist::BDLSkiplist(epoch::EpochSys& es, int fallback_stripes)
       dev_(es.device()),
       mw_(fallback_stripes),
       base_(std::make_unique<Base>(DramOps{mw_})),
-      tctx_(std::make_unique<Padded<ThreadCtx>[]>(kMaxThreads)) {}
+      pools_(std::make_unique<Padded<epoch::KVPool>[]>(kMaxThreads)) {}
 
 BDLSkiplist::~BDLSkiplist() = default;
 
-KVPair* BDLSkiplist::prep_block(std::uint64_t k, std::uint64_t v) {
-  auto& tc = tctx_[thread_id()].value;
-  if (tc.new_blk == nullptr) {
-    tc.new_blk = epoch::make_kv(es_, k, v);
-  } else {
-    epoch::reinit_kv(es_, tc.new_blk, k, v);
-  }
-  return tc.new_blk;
-}
-
-void BDLSkiplist::consume_or_unstamp(bool used) {
-  auto& tc = tctx_[thread_id()].value;
-  if (used) {
-    tc.new_blk = nullptr;
-  } else if (tc.new_blk != nullptr) {
-    // Unused preallocation must not keep a valid epoch stamp (§5).
-    auto* hdr = alloc::PAllocator::header_of(tc.new_blk);
-    hdr->create_epoch = alloc::kInvalidEpoch;
-    dev_.mark_dirty(&hdr->create_epoch, 8);
-  }
-}
-
 bool BDLSkiplist::insert_enveloped(std::uint64_t op_epoch, std::uint64_t key,
                                    std::uint64_t value, bool* restart) {
-  KVPair* nb = prep_block(key, value);
+  epoch::KVPool& pool = pools_[thread_id()].value;
+  KVPair* nb = pool.take(es_, sizeof(KVPair), key, value);
   // Stamp before the linearization point; the block is still private.
   epoch::EpochSys::set_epoch_nontx(dev_, nb, op_epoch);
 
@@ -55,7 +35,6 @@ bool BDLSkiplist::insert_enveloped(std::uint64_t op_epoch, std::uint64_t key,
     if (base_->insert_node(key, reinterpret_cast<std::uint64_t>(nb),
                            &existing)) {
       es_.pTrack(nb);
-      consume_or_unstamp(true);
       return true;
     }
 
@@ -70,7 +49,7 @@ bool BDLSkiplist::insert_enveloped(std::uint64_t op_epoch, std::uint64_t key,
     const std::uint64_t e = block_epoch(kv);  // stable while reachable
     if (e != alloc::kInvalidEpoch && e > op_epoch) {
       *restart = true;  // OldSeeNewException
-      consume_or_unstamp(false);
+      pool.give_back(es_, nb);
       return false;
     }
     if (e == op_epoch) {
@@ -83,7 +62,7 @@ bool BDLSkiplist::insert_enveloped(std::uint64_t op_epoch, std::uint64_t key,
       if (ops.mcas(t, 3)) {
         dev_.mark_dirty(&kv->value, 8);
         es_.pTrack(kv);
-        consume_or_unstamp(false);
+        pool.give_back(es_, nb);
         return false;
       }
     } else {
@@ -94,24 +73,10 @@ bool BDLSkiplist::insert_enveloped(std::uint64_t op_epoch, std::uint64_t key,
       if (ops.mcas(t, 2)) {
         es_.pRetire(kv);
         es_.pTrack(nb);
-        consume_or_unstamp(true);
         return false;
       }
     }
     // mcas contention: retry within the same epoch.
-  }
-}
-
-bool BDLSkiplist::insert(std::uint64_t key, std::uint64_t value) {
-  for (;;) {  // epoch-registration loop
-    const std::uint64_t op_epoch = es_.beginOp();
-    bool restart = false;
-    const bool inserted = insert_enveloped(op_epoch, key, value, &restart);
-    if (!restart) {
-      es_.endOp();
-      return inserted;
-    }
-    es_.abortOp();
   }
 }
 
@@ -145,19 +110,6 @@ bool BDLSkiplist::remove_enveloped(std::uint64_t op_epoch, std::uint64_t key,
   }
 }
 
-bool BDLSkiplist::remove(std::uint64_t key) {
-  for (;;) {
-    const std::uint64_t op_epoch = es_.beginOp();
-    bool restart = false;
-    const bool removed = remove_enveloped(op_epoch, key, &restart);
-    if (!restart) {
-      es_.endOp();
-      return removed;
-    }
-    es_.abortOp();
-  }
-}
-
 std::optional<std::uint64_t> BDLSkiplist::find_enveloped(std::uint64_t key) {
   EbrDomain::Guard g(base_->ebr());
   if (Node* n = base_->find_node(key)) {
@@ -168,15 +120,20 @@ std::optional<std::uint64_t> BDLSkiplist::find_enveloped(std::uint64_t key) {
   return std::nullopt;
 }
 
+bool BDLSkiplist::insert(std::uint64_t key, std::uint64_t value) {
+  return epoch::apply_one(es_, *this, {Kind::kPut, key, value}).ok;
+}
+
+bool BDLSkiplist::remove(std::uint64_t key) {
+  return epoch::apply_one(es_, *this, {Kind::kRemove, key}).ok;
+}
+
 std::optional<std::uint64_t> BDLSkiplist::find(std::uint64_t key) {
-  es_.beginOp();  // pin the epoch: blocks we read cannot be reclaimed
-  auto out = find_enveloped(key);
-  es_.endOp();
-  return out;
+  const epoch::BatchOp op = epoch::apply_one(es_, *this, {Kind::kGet, key});
+  return op.ok ? std::optional<std::uint64_t>{op.out_value} : std::nullopt;
 }
 
 void BDLSkiplist::apply_batch(epoch::BatchOp* ops, std::size_t n) {
-  using Kind = epoch::BatchOp::Kind;
   assert(es_.in_op() && "apply_batch runs under the caller's envelope");
   const std::uint64_t op_epoch = es_.current_op_epoch();
   for (std::size_t i = 0; i < n; ++i) {

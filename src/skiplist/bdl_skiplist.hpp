@@ -12,8 +12,10 @@
 // KV blocks follow the Listing 1 epoch rules: preallocate outside
 // transactions with an invalid epoch, stamp inside the transaction before
 // the linearization point, abort-and-restart on OldSeeNewException,
-// retire/track after commit. After a crash, recover() scans the heap and
-// rebuilds the towers from the surviving blocks.
+// retire/track after commit. The rules are written once, in apply_batch;
+// the single-op insert/remove/find are one-op batches (epoch::apply_one).
+// After a crash, recover() scans the heap and rebuilds the towers from
+// the surviving blocks.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +52,7 @@ class BDLSkiplist {
   /// Post-crash rebuild with `threads` workers; returns live pairs.
   std::size_t recover(int threads = 1);
 
-  /// Service-layer batch entry (DESIGN.md §10): apply ops[0..n) under
+  /// The one operation path (DESIGN.md §10): apply ops[0..n) under
   /// the CALLER's epoch envelope. Unlike the elided structures the
   /// skiplist cannot group a batch into one transaction — link updates
   /// are individual HTM-MwCAS operations — so the batch amortizes only
@@ -82,6 +84,7 @@ class BDLSkiplist {
     sync::HTMMwCAS& mw;
     using Word = std::uint64_t;
     static constexpr bool kPersistentNodes = false;
+    static constexpr bool kDramNodes = true;
     std::uint64_t read(Word* w) { return mw.read(w); }
     bool mcas(CasTriple* t, int n) {
       sync::HTMMwCAS::Word words[sync::kMwCASMaxWords];
@@ -99,15 +102,9 @@ class BDLSkiplist {
   using Base = SkiplistBase<DramOps>;
   using Node = Base::Node;
 
-  struct ThreadCtx {
-    epoch::KVPair* new_blk = nullptr;
-  };
-
-  epoch::KVPair* prep_block(std::uint64_t k, std::uint64_t v);
-  void consume_or_unstamp(bool used);
-  // Op cores running under an ALREADY-OPEN envelope at `op_epoch`; on
-  // OldSeeNew they set *restart and return without touching the
-  // envelope (the caller decides between abortOp and EnvelopeRestart).
+  // Op cores of apply_batch, running under the open envelope at
+  // `op_epoch`; on OldSeeNew they set *restart and return without
+  // touching the envelope (apply_batch throws EnvelopeRestart).
   bool insert_enveloped(std::uint64_t op_epoch, std::uint64_t key,
                         std::uint64_t value, bool* restart);
   bool remove_enveloped(std::uint64_t op_epoch, std::uint64_t key,
@@ -118,7 +115,7 @@ class BDLSkiplist {
   nvm::Device& dev_;
   sync::HTMMwCAS mw_;
   std::unique_ptr<Base> base_;
-  std::unique_ptr<Padded<ThreadCtx>[]> tctx_;
+  std::unique_ptr<Padded<epoch::KVPool>[]> pools_;  // per-thread
 };
 
 }  // namespace bdhtm::skiplist

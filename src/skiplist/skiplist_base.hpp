@@ -46,7 +46,21 @@ class SkiplistBase {
     ops_.persist(head_, Node::bytes(kMaxLevel));
   }
 
-  ~SkiplistBase() { ebr_.drain_for_teardown(); }
+  ~SkiplistBase() {
+    ebr_.drain_for_teardown();
+    if constexpr (Ops::kDramNodes) {
+      // Free what is still linked. Level 0 holds every linked node once,
+      // and a node is unlinked before it is retired, so none of these
+      // was in the limbo just drained. NVM nodes stay: the heap image
+      // outlives the structure (crash tests re-attach it).
+      Node* n = head_;
+      while (n != nullptr) {
+        Node* next = ptr(strip(ops_.read(&n->next[0])));
+        ops_.dealloc(n);
+        n = next;
+      }
+    }
+  }
 
   Node* head() { return head_; }
   void set_head(Node* h) { head_ = h; }  // recovery attach

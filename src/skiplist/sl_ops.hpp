@@ -41,6 +41,7 @@ struct CasTriple {
 struct MwcasDramOps {
   using Word = std::atomic<std::uint64_t>;
   static constexpr bool kPersistentNodes = false;
+  static constexpr bool kDramNodes = true;  // the base frees them at teardown
 
   std::uint64_t read(Word* w) { return sync::MwCAS::read(w); }
   bool mcas(CasTriple* t, int n) {
@@ -60,6 +61,7 @@ struct MwcasNvmNoFlushOps {
   alloc::PAllocator& pa;
   using Word = std::atomic<std::uint64_t>;
   static constexpr bool kPersistentNodes = false;  // no flushes -> no DL
+  static constexpr bool kDramNodes = false;
 
   std::uint64_t read(Word* w) {
     pa.device().account_read();  // towers live in NVM: every hop pays
@@ -87,6 +89,7 @@ struct HtmNvmNoFlushOps {
   sync::HTMMwCAS& mw;
   using Word = std::uint64_t;  // plain words through the HTM engine
   static constexpr bool kPersistentNodes = false;
+  static constexpr bool kDramNodes = false;
 
   std::uint64_t read(Word* w) {
     pa.device().account_read();  // towers live in NVM: every hop pays
@@ -115,6 +118,7 @@ struct PmwcasOps {
   sync::PMwCAS& pm;
   using Word = std::atomic<std::uint64_t>;
   static constexpr bool kPersistentNodes = true;
+  static constexpr bool kDramNodes = false;
 
   std::uint64_t read(Word* w) {
     pa.device().account_read();  // towers live in NVM: every hop pays

@@ -1,5 +1,7 @@
 #include "svc/shard.hpp"
 
+#include <utility>
+
 #include "hash/bd_spash.hpp"
 #include "skiplist/bdl_skiplist.hpp"
 #include "veb/phtm_veb.hpp"
@@ -20,10 +22,13 @@ const char* backend_name(Backend b) {
 
 namespace {
 
-class VebShard final : public ShardIndex {
+// One adapter for all three structures: each has the same member API,
+// and only the ordered ones have successor().
+template <typename T>
+class Shard final : public ShardIndex {
  public:
-  VebShard(epoch::EpochSys& es, const ShardOptions& opt)
-      : t_(es, opt.veb_ubits, opt.fallback_stripes) {}
+  template <typename... Args>
+  explicit Shard(Args&&... args) : t_(std::forward<Args>(args)...) {}
   bool insert(std::uint64_t k, std::uint64_t v) override {
     return t_.insert(k, v);
   }
@@ -33,9 +38,13 @@ class VebShard final : public ShardIndex {
   }
   std::optional<std::pair<std::uint64_t, std::uint64_t>> successor(
       std::uint64_t k) override {
-    return t_.successor(k);
+    if constexpr (kOrdered) {
+      return t_.successor(k);
+    } else {
+      return std::nullopt;
+    }
   }
-  bool ordered() const override { return true; }
+  bool ordered() const override { return kOrdered; }
   void apply_batch(epoch::BatchOp* ops, std::size_t n) override {
     t_.apply_batch(ops, n);
   }
@@ -51,76 +60,9 @@ class VebShard final : public ShardIndex {
   }
 
  private:
-  veb::PHTMvEB t_;
-};
-
-class SkiplistShard final : public ShardIndex {
- public:
-  SkiplistShard(epoch::EpochSys& es, const ShardOptions& opt)
-      : t_(es, opt.fallback_stripes) {}
-  bool insert(std::uint64_t k, std::uint64_t v) override {
-    return t_.insert(k, v);
-  }
-  bool remove(std::uint64_t k) override { return t_.remove(k); }
-  std::optional<std::uint64_t> find(std::uint64_t k) override {
-    return t_.find(k);
-  }
-  std::optional<std::pair<std::uint64_t, std::uint64_t>> successor(
-      std::uint64_t k) override {
-    return t_.successor(k);
-  }
-  bool ordered() const override { return true; }
-  void apply_batch(epoch::BatchOp* ops, std::size_t n) override {
-    t_.apply_batch(ops, n);
-  }
-  void reset_index() override { t_.reset_index(); }
-  void relink_recovered(epoch::KVPair* kv, std::uint64_t ce) override {
-    t_.relink_recovered(kv, ce);
-  }
-  htm::FallbackPolicy& fallback_policy() override {
-    return t_.fallback_policy();
-  }
-  htm::StripeMask footprint(std::uint64_t key) const override {
-    return t_.footprint(key);
-  }
-
- private:
-  skiplist::BDLSkiplist t_;
-};
-
-class HashShard final : public ShardIndex {
- public:
-  HashShard(epoch::EpochSys& es, const ShardOptions& opt)
-      : t_(es, opt.hash_initial_depth, sizeof(epoch::KVPair),
-           hash::BDSpash::PersistRouting::kHybrid, opt.fallback_stripes) {}
-  bool insert(std::uint64_t k, std::uint64_t v) override {
-    return t_.insert(k, v);
-  }
-  bool remove(std::uint64_t k) override { return t_.remove(k); }
-  std::optional<std::uint64_t> find(std::uint64_t k) override {
-    return t_.find(k);
-  }
-  std::optional<std::pair<std::uint64_t, std::uint64_t>> successor(
-      std::uint64_t) override {
-    return std::nullopt;  // unordered
-  }
-  bool ordered() const override { return false; }
-  void apply_batch(epoch::BatchOp* ops, std::size_t n) override {
-    t_.apply_batch(ops, n);
-  }
-  void reset_index() override { t_.reset_index(); }
-  void relink_recovered(epoch::KVPair* kv, std::uint64_t ce) override {
-    t_.relink_recovered(kv, ce);
-  }
-  htm::FallbackPolicy& fallback_policy() override {
-    return t_.fallback_policy();
-  }
-  htm::StripeMask footprint(std::uint64_t key) const override {
-    return t_.footprint(key);
-  }
-
- private:
-  hash::BDSpash t_;
+  static constexpr bool kOrdered =
+      requires(T& t, std::uint64_t k) { t.successor(k); };
+  T t_;
 };
 
 }  // namespace
@@ -129,11 +71,15 @@ std::unique_ptr<ShardIndex> make_shard(Backend b, epoch::EpochSys& es,
                                        const ShardOptions& opt) {
   switch (b) {
     case Backend::kVebTree:
-      return std::make_unique<VebShard>(es, opt);
+      return std::make_unique<Shard<veb::PHTMvEB>>(es, opt.veb_ubits,
+                                                   opt.fallback_stripes);
     case Backend::kSkiplist:
-      return std::make_unique<SkiplistShard>(es, opt);
+      return std::make_unique<Shard<skiplist::BDLSkiplist>>(
+          es, opt.fallback_stripes);
     case Backend::kHash:
-      return std::make_unique<HashShard>(es, opt);
+      return std::make_unique<Shard<hash::BDSpash>>(
+          es, opt.hash_initial_depth, sizeof(epoch::KVPair),
+          hash::BDSpash::PersistRouting::kHybrid, opt.fallback_stripes);
   }
   return nullptr;
 }

@@ -31,9 +31,9 @@ struct ShardOptions {
   int fallback_stripes = 1;
 };
 
-/// One keyspace partition. Single-op entry points follow the structures'
-/// own Listing 1 protocol (each opens its own envelope); apply_batch runs
-/// under the CALLER's envelope and may throw epoch::EnvelopeRestart (see
+/// One keyspace partition. Single-op entry points run as one-op batches
+/// in their own envelope (epoch::apply_one); apply_batch runs under the
+/// CALLER's envelope and may throw epoch::EnvelopeRestart (see
 /// epoch/batch.hpp).
 class ShardIndex {
  public:

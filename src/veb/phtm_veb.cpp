@@ -10,6 +10,7 @@ namespace bdhtm::veb {
 
 using epoch::KVPair;
 using htm::kOldSeeNewCode;
+using Kind = epoch::BatchOp::Kind;
 
 namespace {
 std::uint64_t block_epoch(const void* payload) {
@@ -34,72 +35,6 @@ htm::StripeMask PHTMvEB::footprint(std::uint64_t key) const {
   const std::uint64_t h = splitmix64(key >> (core_->ubits() / 2));
   return htm::StripeMask{1} |
          (htm::StripeMask{1} << (1 + h % static_cast<std::uint64_t>(c - 1)));
-}
-
-void PHTMvEB::prewalk(std::uint64_t key) {
-  // Non-transactional warm-up walk after a (simulated) MEMTYPE abort —
-  // the paper's Fig. 2 mitigation. The result is irrelevant.
-  htm::NontxAccess acc;
-  (void)core_->slot_addr(acc, key);
-}
-
-template <typename Body, typename Prep>
-bool PHTMvEB::mutate(htm::StripeMask mask, std::uint64_t prewalk_key,
-                     Body&& body, Prep&& prep) {
-  struct PrewalkCtx {
-    PHTMvEB* t;
-    std::uint64_t key;
-  } pw{this, prewalk_key};
-  htm::ElideOptions opts;
-  opts.prewalk = [](void* c) {
-    auto* p = static_cast<PrewalkCtx*>(c);
-    p->t->prewalk(p->key);
-  };
-  opts.prewalk_ctx = &pw;
-  for (;;) {  // epoch-registration loop (Listing 1 retry_regist)
-    const std::uint64_t op_epoch = es_.beginOp();
-    prep(op_epoch);
-    OpCtl ctl;
-    bool restart_epoch = false;
-
-    try {
-      htm::elide<bool>(
-          policy_, mask,
-          [&](auto& acc) -> bool {
-            ctl = OpCtl{};
-            body(acc, op_epoch, ctl);
-            return true;
-          },
-          opts);
-    } catch (const htm::FallbackRestart& fr) {
-      assert(fr.code == kOldSeeNewCode);
-      (void)fr;
-      restart_epoch = true;  // restart in a fresh epoch
-    }
-
-    if (restart_epoch) {
-      es_.abortOp();  // discard tracking, leave the stale epoch
-      continue;
-    }
-
-    // Post-commit epilogue (Listing 1 op_done): persistence and
-    // reclamation happen strictly after the transaction.
-    auto& tc = tctx_[thread_id()].value;
-    if (ctl.used_new) {
-      tc.new_blk = nullptr;
-    } else if (tc.new_blk != nullptr) {
-      // Unused preallocation: reset its epoch stamp to invalid so an
-      // idle thread cannot leave a stamped-but-unlinked block behind
-      // (paper §5 guideline).
-      auto* hdr = alloc::PAllocator::header_of(tc.new_blk);
-      hdr->create_epoch = alloc::kInvalidEpoch;
-      dev_.mark_dirty(&hdr->create_epoch, 8);
-    }
-    if (ctl.retire != nullptr) es_.pRetire(ctl.retire);
-    if (ctl.persist != nullptr) es_.pTrack(ctl.persist);
-    es_.endOp();
-    return ctl.result;
-  }
 }
 
 template <typename Acc>
@@ -170,43 +105,16 @@ void PHTMvEB::get_in_tx(Acc& acc, std::uint64_t key, OpCtl& ctl) {
 }
 
 bool PHTMvEB::insert(std::uint64_t key, std::uint64_t value) {
-  auto& tc = tctx_[thread_id()].value;
-  return mutate(footprint(key), key,
-                [&](auto& acc, std::uint64_t op_epoch, OpCtl& ctl) {
-    // The preallocated block was prepared outside the transaction (see
-    // below: mutate() re-runs this body, and the first statement of each
-    // attempt must make the block ready).
-    insert_in_tx(acc, op_epoch, key, value, tc.new_blk, ctl);
-    if (ctl.stale) acc.fail(kOldSeeNewCode);
-  },
-  /*prep=*/[&](std::uint64_t) {
-    if (tc.new_blk == nullptr) {
-      tc.new_blk = epoch::make_kv(es_, key, value);
-    } else {
-      epoch::reinit_kv(es_, tc.new_blk, key, value);
-    }
-  });
+  return epoch::apply_one(es_, *this, {Kind::kPut, key, value}).ok;
 }
 
 bool PHTMvEB::remove(std::uint64_t key) {
-  return mutate(footprint(key), key,
-                [&](auto& acc, std::uint64_t op_epoch, OpCtl& ctl) {
-    remove_in_tx(acc, op_epoch, key, ctl);
-    if (ctl.stale) acc.fail(kOldSeeNewCode);
-  });
+  return epoch::apply_one(es_, *this, {Kind::kRemove, key}).ok;
 }
 
 std::optional<std::uint64_t> PHTMvEB::find(std::uint64_t key) {
-  es_.beginOp();  // pin the epoch: blocks we read cannot be reclaimed
-  OpCtl ctl;
-  htm::elide<bool>(policy_, footprint(key), [&](auto& acc) -> bool {
-    ctl = OpCtl{};
-    get_in_tx(acc, key, ctl);
-    return true;
-  });
-  es_.endOp();
-  return ctl.result ? std::optional<std::uint64_t>{ctl.out_value}
-                    : std::nullopt;
+  const epoch::BatchOp op = epoch::apply_one(es_, *this, {Kind::kGet, key});
+  return op.ok ? std::optional<std::uint64_t>{op.out_value} : std::nullopt;
 }
 
 std::optional<std::pair<std::uint64_t, std::uint64_t>> PHTMvEB::successor(
@@ -227,7 +135,6 @@ std::optional<std::pair<std::uint64_t, std::uint64_t>> PHTMvEB::successor(
 }
 
 void PHTMvEB::apply_batch(epoch::BatchOp* ops, std::size_t n) {
-  using Kind = epoch::BatchOp::Kind;
   assert(es_.in_op() && "apply_batch runs under the caller's envelope");
   if (n == 0) return;
   const std::uint64_t op_epoch = es_.current_op_epoch();
@@ -239,15 +146,27 @@ void PHTMvEB::apply_batch(epoch::BatchOp* ops, std::size_t n) {
   tc.blks.assign(n, nullptr);
   for (std::size_t i = 0; i < n; ++i) {
     if (ops[i].kind != Kind::kPut) continue;
-    if (tc.pool.empty()) {
-      tc.blks[i] = epoch::make_kv(es_, ops[i].key, ops[i].value);
-    } else {
-      tc.blks[i] = tc.pool.back();
-      tc.pool.pop_back();
-      epoch::reinit_kv(es_, tc.blks[i], ops[i].key, ops[i].value);
-    }
+    tc.blks[i] = tc.pool.take(es_, sizeof(KVPair), ops[i].key, ops[i].value);
   }
   tc.ctls.assign(n, OpCtl{});
+
+  // The paper's Fig. 2 mitigation: after a (simulated) MEMTYPE abort,
+  // walk the batch's keys non-transactionally before the retry. The
+  // walk's result is irrelevant.
+  struct Prewalk {
+    VebCore* core;
+    const epoch::BatchOp* ops;
+    std::size_t n;
+  } pw{core_.get(), ops, n};
+  htm::ElideOptions opts;
+  opts.prewalk = [](void* c) {
+    const auto* p = static_cast<Prewalk*>(c);
+    htm::NontxAccess acc;
+    for (std::size_t i = 0; i < p->n; ++i) {
+      (void)p->core->slot_addr(acc, p->ops[i].key);
+    }
+  };
+  opts.prewalk_ctx = &pw;
 
   // Prefix the FALLBACK applied irrevocably; HTM aborts roll everything
   // back, so the counter only ever moves under NontxAccess (plain writes
@@ -256,32 +175,37 @@ void PHTMvEB::apply_batch(epoch::BatchOp* ops, std::size_t n) {
   htm::StripeMask mask = 0;  // union of the per-op footprints
   for (std::size_t i = 0; i < n; ++i) mask |= footprint(ops[i].key);
   try {
-    htm::elide<bool>(policy_, mask, [&](auto& acc) -> bool {
-      using AccT = std::decay_t<decltype(acc)>;
-      for (std::size_t i = fb_applied; i < n; ++i) {
-        OpCtl& ctl = tc.ctls[i];
-        ctl = OpCtl{};  // re-executed attempts must reset plain state
-        epoch::BatchOp& op = ops[i];
-        switch (op.kind) {
-          case Kind::kPut:
-            insert_in_tx(acc, op_epoch, op.key, op.value, tc.blks[i], ctl);
-            break;
-          case Kind::kRemove:
-            remove_in_tx(acc, op_epoch, op.key, ctl);
-            break;
-          case Kind::kGet:
-            get_in_tx(acc, op.key, ctl);
-            break;
-        }
-        if (ctl.stale) {
-          // HTM: rolls the whole batch back. Fallback: unwinds with ops
-          // [fb_applied, i) already applied — reported via the restart.
-          acc.fail(kOldSeeNewCode);
-        }
-        if constexpr (!AccT::transactional()) fb_applied = i + 1;
-      }
-      return true;
-    });
+    htm::elide<bool>(
+        policy_, mask,
+        [&](auto& acc) -> bool {
+          using AccT = std::decay_t<decltype(acc)>;
+          for (std::size_t i = fb_applied; i < n; ++i) {
+            OpCtl& ctl = tc.ctls[i];
+            ctl = OpCtl{};  // re-executed attempts must reset plain state
+            epoch::BatchOp& op = ops[i];
+            switch (op.kind) {
+              case Kind::kPut:
+                insert_in_tx(acc, op_epoch, op.key, op.value, tc.blks[i],
+                             ctl);
+                break;
+              case Kind::kRemove:
+                remove_in_tx(acc, op_epoch, op.key, ctl);
+                break;
+              case Kind::kGet:
+                get_in_tx(acc, op.key, ctl);
+                break;
+            }
+            if (ctl.stale) {
+              // HTM: rolls the whole batch back. Fallback: unwinds with
+              // ops [fb_applied, i) already applied — reported via the
+              // restart.
+              acc.fail(kOldSeeNewCode);
+            }
+            if constexpr (!AccT::transactional()) fb_applied = i + 1;
+          }
+          return true;
+        },
+        opts);
   } catch (const htm::FallbackRestart& fr) {
     assert(fr.code == kOldSeeNewCode);
     (void)fr;
@@ -294,35 +218,17 @@ void PHTMvEB::apply_batch(epoch::BatchOp* ops, std::size_t n) {
 void PHTMvEB::finish_batch(epoch::BatchOp* ops, std::size_t m,
                            std::size_t n) {
   auto& tc = tctx_[thread_id()].value;
-  for (std::size_t i = 0; i < m; ++i) {
-    OpCtl& ctl = tc.ctls[i];
-    if (KVPair* nb = tc.blks[i]; nb != nullptr && !ctl.used_new) {
-      // Unused preallocation: reset its stamp so no stamped-but-unlinked
-      // block outlives the batch (paper §5 guideline), then recycle.
-      auto* hdr = alloc::PAllocator::header_of(nb);
-      hdr->create_epoch = alloc::kInvalidEpoch;
-      dev_.mark_dirty(&hdr->create_epoch, 8);
-      tc.pool.push_back(nb);
-    }
-    tc.blks[i] = nullptr;
+  for (std::size_t i = 0; i < n; ++i) {
+    // Ops [m, n) restart: their ctl may hold a rolled-back attempt's
+    // state, and the retry call preallocates their blocks again.
+    const OpCtl& ctl = tc.ctls[i];
+    const bool linked = i < m && ctl.used_new;
+    if (tc.blks[i] != nullptr && !linked) tc.pool.give_back(es_, tc.blks[i]);
+    if (i >= m) continue;
     if (ctl.retire != nullptr) es_.pRetire(ctl.retire);
     if (ctl.persist != nullptr) es_.pTrack(ctl.persist);
     ops[i].ok = ctl.result;
     ops[i].out_value = ctl.out_value;
-  }
-  // Restart path: ops [m, n) re-prep on the retry call; recycle their
-  // blocks (the failing op may have stamped its block in the fallback —
-  // unstamp so the pool holds only invalid-epoch blocks).
-  for (std::size_t i = m; i < n; ++i) {
-    if (KVPair* nb = tc.blks[i]; nb != nullptr) {
-      auto* hdr = alloc::PAllocator::header_of(nb);
-      if (hdr->create_epoch != alloc::kInvalidEpoch) {
-        hdr->create_epoch = alloc::kInvalidEpoch;
-        dev_.mark_dirty(&hdr->create_epoch, 8);
-      }
-      tc.pool.push_back(nb);
-      tc.blks[i] = nullptr;
-    }
   }
 }
 

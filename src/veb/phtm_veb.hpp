@@ -2,17 +2,21 @@
 //
 // The doubly-logarithmic index lives in DRAM; leaf/min slots hold
 // pointers to KVPair blocks in NVM managed by the epoch system. Every
-// operation follows the Listing 1 strategy:
-//   - register with beginOp(); preallocate (or reuse) a thread-local NVM
-//     block outside the transaction;
+// operation follows the Listing 1 strategy, written once in apply_batch;
+// single-op insert/remove/find are one-op batches (epoch::apply_one):
+//   - the envelope registers with beginOp(); each put takes a block from
+//     the thread's preallocation pool outside the transaction;
 //   - inside the transaction: stamp the preallocated block with the
 //     operation's epoch, then check the target block's epoch —
-//       newer epoch  -> abort with OldSeeNewException, abortOp(),
-//                       restart in a fresh epoch;
+//       newer epoch  -> abort with OldSeeNewException; the envelope
+//                       restarts in a fresh epoch (EnvelopeRestart);
 //       older epoch  -> replace the block out-of-place (retire the old);
 //       same epoch   -> update the value in place;
-//   - after commit: pRetire()/pTrack() the affected blocks, endOp().
-// No persist instruction ever executes inside a transaction.
+//   - after commit: pRetire()/pTrack() the affected blocks, return
+//     unused preallocations to the pool, endOp().
+// No persist instruction ever executes inside a transaction. After a
+// (simulated) MEMTYPE abort, the ops' keys are walked non-transactionally
+// before the retry (the paper's Fig. 2 mitigation).
 //
 // After a crash, recover() scans the NVM heap (epoch-system §5.2 rules)
 // and rebuilds the DRAM index from the surviving KV blocks, optionally
@@ -58,9 +62,9 @@ class PHTMvEB {
   /// blocks it finds. Returns the number of live pairs.
   std::size_t recover(int threads = 1);
 
-  /// Service-layer batch entry (DESIGN.md §10): apply ops[0..n) under
-  /// the CALLER's open epoch envelope, all in one elided transaction —
-  /// the per-txn and per-envelope overhead amortizes across the batch.
+  /// The one operation path (DESIGN.md §10): apply ops[0..n) under the
+  /// CALLER's open epoch envelope, all in one elided transaction — the
+  /// per-txn and per-envelope overhead amortizes across the batch.
   /// Throws epoch::EnvelopeRestart when an op observes a newer-epoch
   /// block (see epoch/batch.hpp for the restart contract).
   void apply_batch(epoch::BatchOp* ops, std::size_t n);
@@ -96,29 +100,16 @@ class PHTMvEB {
     std::uint64_t out_value = 0;  // get result
   };
   struct ThreadCtx {
-    epoch::KVPair* new_blk = nullptr;
     // Batch scratch: preallocation pool plus per-op block/ctl arrays,
     // reused across apply_batch calls (no steady-state allocation).
-    std::vector<epoch::KVPair*> pool;
+    epoch::KVPool pool;
     std::vector<epoch::KVPair*> blks;
     std::vector<OpCtl> ctls;
   };
 
-  // Listing 1 retry structure; `prep` runs outside the transaction after
-  // each beginOp() (block preallocation / reinitialization). `mask` is
-  // the op's stripe footprint; `prewalk_key` drives the MEMTYPE-abort
-  // mitigation walk between attempts.
-  template <typename Body, typename Prep>
-  bool mutate(htm::StripeMask mask, std::uint64_t prewalk_key, Body&& body,
-              Prep&& prep);
-  template <typename Body>
-  bool mutate(htm::StripeMask mask, std::uint64_t prewalk_key, Body&& body) {
-    return mutate(mask, prewalk_key, std::forward<Body>(body),
-                  [](std::uint64_t) {});
-  }
-  // Accessor-generic op bodies shared by the single-op paths and
-  // apply_batch. They report OldSeeNew via ctl.stale instead of
-  // acc.fail() so batch callers can attribute the failing op.
+  // Accessor-generic op bodies of apply_batch, run on the transactional
+  // and the fallback path. They report OldSeeNew via ctl.stale instead
+  // of acc.fail() so apply_batch can attribute the failing op.
   template <typename Acc>
   void insert_in_tx(Acc& acc, std::uint64_t op_epoch, std::uint64_t key,
                     std::uint64_t value, epoch::KVPair* nb, OpCtl& ctl);
@@ -131,7 +122,6 @@ class PHTMvEB {
   /// preallocations, pRetire/pTrack, publish results; ops [m, n) only
   /// recycle their preallocations (the restart path re-preps them).
   void finish_batch(epoch::BatchOp* ops, std::size_t m, std::size_t n);
-  void prewalk(std::uint64_t key);
 
   epoch::EpochSys& es_;
   nvm::Device& dev_;

@@ -16,6 +16,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -61,13 +63,12 @@ std::uint64_t value_of(std::uint64_t key) {
 }
 
 struct IpcWorld {
-  explicit IpcWorld(const nvm::FaultPlan* plan = nullptr) {
+  IpcWorld() {
     nvm::DeviceConfig dcfg;
     dcfg.capacity = 32ull << 20;
     dcfg.dirty_survival = 0.0;
     dcfg.pending_survival = 0.0;
     dev = std::make_unique<nvm::Device>(dcfg);
-    if (plan != nullptr) dev->arm_fault_plan(*plan);
     pa = std::make_unique<alloc::PAllocator>(*dev);
     epoch::EpochSys::Config ecfg;
     ecfg.epoch_length_us = 500;  // fast durable release for kDurable acks
@@ -522,16 +523,39 @@ TEST(Ipc, ServerCrashRecoversAcknowledgedPrefix) {
   // Profile run: count media evictions for trigger placement.
   const std::string dir = make_rendezvous_dir();
   // Up to `rounds` rounds of put clients against one server, each round
-  // on fresh key bases, stopping once the armed plan (if any) tripped.
+  // on fresh key bases, stopping once `plan` (if any) tripped. The plan
+  // is armed only once some acknowledged op's epoch is persisted, with
+  // trigger_at counted from there: a freeze before that point leaves no
+  // ack inside the recovery frontier, and the run would check nothing.
   // Appends every client's ack log to `logs`.
   auto drive = [&](IpcWorld& w, int nclients, int ops, const char* tag,
-                   int rounds, std::vector<std::string>& logs) -> bool {
+                   int rounds, const nvm::FaultPlan* plan,
+                   std::vector<std::string>& logs) -> bool {
     svc::KVStore store(*w.es, ipc_store_cfg(4));
     ipc::ShmServer::Config scfg;
     scfg.dir = dir;
     scfg.max_sessions = 4;
     scfg.poll_us = 1'000;
     ipc::ShmServer server(store, scfg);
+    std::atomic<bool> done{false};
+    std::thread armer([&] {
+      if (plan == nullptr) return;
+      const auto pause = [&] {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        return !done.load();
+      };
+      while (store.completed_total() == 0) {
+        if (!pause()) return;
+      }
+      // The first acked op committed in this epoch or an earlier one.
+      const std::uint64_t e = w.es->current_epoch();
+      while (w.es->persisted_epoch() < e + 2) {
+        if (!pause()) return;
+      }
+      nvm::FaultPlan armed = *plan;
+      armed.trigger_at += w.dev->fault_events(armed.event);
+      w.dev->arm_fault_plan(armed);
+    });
     bool ok = true;
     for (int r = 0; r < rounds && !w.dev->fault_tripped(); ++r) {
       std::vector<pid_t> pids;
@@ -550,6 +574,8 @@ TEST(Ipc, ServerCrashRecoversAcknowledgedPrefix) {
       }
       for (pid_t p : pids) ok = wait_exit(p, nullptr) == 0 && ok;
     }
+    done.store(true);
+    armer.join();
     server.close();
     store.close();
     return ok;
@@ -564,7 +590,7 @@ TEST(Ipc, ServerCrashRecoversAcknowledgedPrefix) {
   {
     IpcWorld w;
     std::vector<std::string> logs;
-    ASSERT_TRUE(drive(w, 2, kOps, "p", 1, logs));
+    ASSERT_TRUE(drive(w, 2, kOps, "p", 1, nullptr, logs));
     evictions = w.dev->fault_events(nvm::FaultEvent::kEviction);
   }
   ASSERT_GT(evictions, 0u);
@@ -572,13 +598,13 @@ TEST(Ipc, ServerCrashRecoversAcknowledgedPrefix) {
   nvm::FaultPlan plan;
   plan.event = nvm::FaultEvent::kEviction;
   plan.trigger_at = evictions / 2;
-  IpcWorld w(&plan);
+  IpcWorld w;
   // The armed run needn't ack every op (the media freezes mid-run and
   // timing shifts); the oracle is built from what WAS acked. It can also
   // evict fewer lines than the profile run did, so up to 8 extra rounds
   // run until the plan trips.
   std::vector<std::string> armed_logs;
-  drive(w, 2, kOps, "a", 9, armed_logs);
+  drive(w, 2, kOps, "a", 9, &plan, armed_logs);
   ASSERT_TRUE(w.dev->fault_tripped()) << "plan never tripped";
 
   std::map<std::uint64_t, Ack> acked;
@@ -615,7 +641,13 @@ TEST(Ipc, ServerCrashRecoversAcknowledgedPrefix) {
     }
   }
   // The run must actually exercise both sides of the frontier.
-  EXPECT_GT(kept, 0u);
+  std::uint64_t first_epoch = ~std::uint64_t{0}, last_epoch = 0;
+  for (const auto& [k, a] : acked) {
+    first_epoch = std::min(first_epoch, a.complete_epoch);
+    last_epoch = std::max(last_epoch, a.complete_epoch);
+  }
+  EXPECT_GT(kept, 0u) << "frontier " << frontier << ", acked epochs "
+                      << first_epoch << ".." << last_epoch;
   EXPECT_GT(rolled, 0u) << "media froze too late to cut any acks";
   remove_dir(dir);
 }

@@ -247,51 +247,55 @@ TEST(Svc, EnvelopeRestartRetriesStaleBatch) {
   // advances, T2 stamps a block at e+1, then T1's batch touches that
   // block. The structure must throw EnvelopeRestart and run_envelope
   // must re-apply under a fresh epoch — observable as a second call of
-  // the apply callback and a correct final value.
-  SvcWorld w(/*manual_epochs=*/true);
-  svc::KVStoreConfig cfg = small_cfg(svc::Backend::kVebTree);
-  cfg.start_workers = false;  // direct shard access only
-  svc::KVStore store(*w.es, cfg);
-  auto& shard = store.shard(0);
-  ASSERT_TRUE(shard.insert(5, 50));
+  // the apply callback and a correct final value. apply_batch is each
+  // backend's only op path, so this pins the restart for all of them.
+  for (svc::Backend b : kAllBackends) {
+    SCOPED_TRACE(svc::backend_name(b));
+    SvcWorld w(/*manual_epochs=*/true);
+    svc::KVStoreConfig cfg = small_cfg(b);
+    cfg.start_workers = false;  // direct shard access only
+    svc::KVStore store(*w.es, cfg);
+    auto& shard = store.shard(0);
+    ASSERT_TRUE(shard.insert(5, 50));
 
-  const std::uint64_t e0 = w.es->current_epoch();
-  std::atomic<int> phase{0};
-  int t1_applies = 0;
-  epoch::BatchOp op;
-  op.kind = epoch::BatchOp::Kind::kPut;
-  op.key = 5;
-  op.value = 55;
-  std::thread t1([&] {
-    epoch::run_envelope(*w.es, 1, [&](std::size_t first, std::size_t n) {
-      ++t1_applies;
-      if (t1_applies == 1) {
-        // Pinned at the pre-advance epoch; park here while the main
-        // thread advances and overwrites the key at the newer epoch.
-        EXPECT_EQ(w.es->current_op_epoch(), e0);
-        phase.store(1, std::memory_order_release);
-        while (phase.load(std::memory_order_acquire) != 2) {
-          std::this_thread::yield();
+    const std::uint64_t e0 = w.es->current_epoch();
+    std::atomic<int> phase{0};
+    int t1_applies = 0;
+    epoch::BatchOp op;
+    op.kind = epoch::BatchOp::Kind::kPut;
+    op.key = 5;
+    op.value = 55;
+    std::thread t1([&] {
+      epoch::run_envelope(*w.es, 1, [&](std::size_t first, std::size_t n) {
+        ++t1_applies;
+        if (t1_applies == 1) {
+          // Pinned at the pre-advance epoch; park here while the main
+          // thread advances and overwrites the key at the newer epoch.
+          EXPECT_EQ(w.es->current_op_epoch(), e0);
+          phase.store(1, std::memory_order_release);
+          while (phase.load(std::memory_order_acquire) != 2) {
+            std::this_thread::yield();
+          }
         }
-      }
-      shard.apply_batch(&op + first, n);
+        shard.apply_batch(&op + first, n);
+      });
     });
-  });
-  while (phase.load(std::memory_order_acquire) != 1) {
-    std::this_thread::yield();
-  }
-  // One advance only: a second would block in step 1 waiting out t1's
-  // open envelope in e0. Current becomes e0+1; the overwrite stamps it.
-  w.es->advance();
-  ASSERT_FALSE(shard.insert(5, 51));  // overwrite at the newer epoch
-  phase.store(2, std::memory_order_release);
-  t1.join();
+    while (phase.load(std::memory_order_acquire) != 1) {
+      std::this_thread::yield();
+    }
+    // One advance only: a second would block in step 1 waiting out t1's
+    // open envelope in e0. Current becomes e0+1; the overwrite stamps it.
+    w.es->advance();
+    ASSERT_FALSE(shard.insert(5, 51));  // overwrite at the newer epoch
+    phase.store(2, std::memory_order_release);
+    t1.join();
 
-  EXPECT_GE(t1_applies, 2) << "stale envelope must restart at least once";
-  auto got = shard.find(5);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, 55u) << "t1's put is the last write";
-  store.close();
+    EXPECT_GE(t1_applies, 2) << "stale envelope must restart at least once";
+    auto got = shard.find(5);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, 55u) << "t1's put is the last write";
+    store.close();
+  }
 }
 
 TEST(Svc, ScanMergesAcrossShardsOrderedBackends) {

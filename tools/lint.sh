@@ -30,12 +30,8 @@ echo "== txlint: corpus ground truth =="
 "$txlint" --verify-expectations "$root/tools/txlint/corpus"
 
 echo "== txlint: full tree (baseline-gated) =="
-"$txlint" \
-  --json "$build/txlint-report.json" \
-  --sarif "$build/txlint-report.sarif" \
-  "${scan_args[@]}"
-"$txlint" --validate-sarif "$build/txlint-report.sarif"
-echo "reports: $build/txlint-report.json, $build/txlint-report.sarif"
+"$txlint" --json "$build/txlint-report.json" "${scan_args[@]}"
+echo "report: $build/txlint-report.json"
 
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "== clang-tidy ($(clang-tidy --version | head -n1)) =="

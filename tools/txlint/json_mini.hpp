@@ -1,8 +1,7 @@
 // Minimal recursive-descent JSON reader (header-only, no dependencies).
-// Used by txlint to load baseline.json and to structurally validate
-// emitted SARIF — NOT a general-purpose parser: numbers are stored as
-// double plus the raw text, and input is assumed to be reasonably sized
-// (whole-document in memory).
+// Used by txlint to load baseline.json — NOT a general-purpose parser:
+// numbers are stored as double plus the raw text, and input is assumed
+// to be reasonably sized (whole-document in memory).
 #pragma once
 
 #include <cctype>
@@ -28,9 +27,6 @@ struct Value {
   std::map<std::string, ValuePtr> obj;
 
   bool is_object() const { return kind == Kind::kObject; }
-  bool is_array() const { return kind == Kind::kArray; }
-  bool is_string() const { return kind == Kind::kString; }
-  bool is_number() const { return kind == Kind::kNumber; }
 
   const Value* get(const std::string& key) const {
     auto it = obj.find(key);

@@ -29,53 +29,6 @@ const char* rule_name(Rule r) {
   }
 }
 
-const char* rule_description(Rule r) {
-  switch (r) {
-    case Rule::kPersistInTx:
-      return "Persist/flush operation reachable from a transaction body; "
-             "buffered durability defers all persists to the epoch advancer "
-             "(paper Table 2, §4).";
-    case Rule::kAllocInTx:
-      return "Allocation reachable from a transaction body; pNew "
-             "preallocates before tx_begin because allocator metadata "
-             "writes are not transactional (paper Table 2).";
-    case Rule::kRetireBeforeCommit:
-      return "pRetire/pTrack/pDelete reachable from a transaction body; "
-             "durable reclamation is ordered strictly after commit.";
-    case Rule::kIrrevocableInTx:
-      return "Irrevocable operation (I/O, blocking lock, epoch-table "
-             "mutation) reachable from a transaction body; it cannot be "
-             "rolled back by an abort (paper §3).";
-    case Rule::kUnbalancedEpochOp:
-      return "beginOp without a matching endOp/abortOp on some path; the "
-             "leaked epoch reservation stalls write-back globally.";
-    case Rule::kFallbackStripeOrder:
-      return "Striped-fallback protocol violation: stripes acquired out of "
-             "canonical ascending order (including via a call chain), or a "
-             "lock subscription made after the transaction already touched "
-             "tracked state (DESIGN.md §11).";
-    case Rule::kIpcClientNvm:
-      return "Durable-core entry point in ipc-client scope; the shared-"
-             "memory transport's client side runs in a remote process that "
-             "must never touch NVM or the epoch table (DESIGN.md §12).";
-    case Rule::kNoObsInTx:
-      return "Observability emission reachable from a transaction body; "
-             "speculative trace/histogram stores survive aborts and the "
-             "implied clock read can abort real HTM (DESIGN.md §8).";
-    case Rule::kPublishBeforePersist:
-      return "A pNew'd block is linked reachable from a persistent root "
-             "outside any transaction before its lines enter the epoch "
-             "write-set (pSet/pTrack/transactional capture); after a crash "
-             "the pointer is durable but the payload is garbage.";
-    case Rule::kEscapeUnpersistedStack:
-      return "The address of a stack/DRAM object is written into an "
-             "NVM-resident field; after a crash the field dangles into a "
-             "stack that no longer exists.";
-    default:
-      return "";
-  }
-}
-
 bool rule_from_name(std::string_view s, Rule* out) {
   for (int i = 0; i < kNumRules; ++i) {
     if (s == rule_name(static_cast<Rule>(i))) {

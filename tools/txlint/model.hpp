@@ -32,8 +32,6 @@ enum class Rule {
 constexpr int kNumRules = static_cast<int>(Rule::kNumRules);
 
 const char* rule_name(Rule r);
-/// One-line rule description for SARIF rule metadata and --help.
-const char* rule_description(Rule r);
 bool rule_from_name(std::string_view s, Rule* out);
 
 // ---------------------------------------------------------------------------

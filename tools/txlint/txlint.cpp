@@ -1,21 +1,19 @@
 // txlint v2 — whole-program BD-HTM protocol analyzer (DESIGN.md §9).
 //
 // Driver: expands inputs, runs pass 1 per file, merges everything into
-// a Program, runs pass-2 context propagation, then reports — human text,
-// JSON (bdhtm-txlint/2), SARIF 2.1.0 with call-path code flows — and
+// a Program, runs pass-2 context propagation, then reports — human text
+// and JSON (bdhtm-txlint/2) with each finding's call path — and
 // optionally gates against a checked-in baseline so CI fails only on
 // NEW findings.
 //
 //   txlint [options] <file|dir>...
-//     --json <out.json>          native JSON report
-//     --sarif <out.sarif>        SARIF 2.1.0 report
+//     --json <out.json>          JSON report
 //     --baseline <baseline.json> fail only on findings not in baseline
 //     --write-baseline <path>    write current findings as the baseline
 //     --relative-to <dir>        record paths relative to <dir>
 //     --exclude <substr>         skip paths containing <substr> (repeat ok)
 //     --verify-expectations      corpus mode: each file is its own
 //                                program, checked against txlint-expect
-//     --validate-sarif <path>    validate a SARIF file and exit
 //     --exit-zero                report but always exit 0 (artifact gen)
 //
 // Exit codes: 0 clean (or all matched / nothing new vs baseline),
@@ -35,7 +33,6 @@
 #include "analyze.hpp"
 #include "json_mini.hpp"
 #include "model.hpp"
-#include "sarif.hpp"
 
 namespace txlint {
 namespace {
@@ -57,7 +54,6 @@ bool scannable(const std::filesystem::path& p) {
 
 struct Options {
   std::string json_path;
-  std::string sarif_path;
   std::string baseline_path;
   std::string write_baseline_path;
   std::string relative_to;
@@ -70,12 +66,70 @@ struct Options {
 int usage(int code) {
   std::fprintf(
       stderr,
-      "usage: txlint [--json out.json] [--sarif out.sarif]\n"
+      "usage: txlint [--json out.json]\n"
       "              [--baseline baseline.json] [--write-baseline path]\n"
       "              [--relative-to dir] [--exclude substr]...\n"
-      "              [--verify-expectations] [--exit-zero] <file|dir>...\n"
-      "       txlint --validate-sarif report.sarif\n");
+      "              [--verify-expectations] [--exit-zero] <file|dir>...\n");
   return code;
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+/// JSON report (schema bdhtm-txlint/2): per-finding rule, file, line,
+/// message, suppressed flag and the call path.
+bool write_json_report(const std::string& path,
+                       const std::vector<Finding>& findings,
+                       int files_scanned, int suppressed_count) {
+  std::ofstream os(path);
+  if (!os) return false;
+  int active = 0;
+  for (const Finding& f : findings) {
+    if (!f.suppressed) ++active;
+  }
+  os << "{\n"
+     << "  \"schema\": \"bdhtm-txlint/2\",\n"
+     << "  \"files_scanned\": " << files_scanned << ",\n"
+     << "  \"findings\": " << active << ",\n"
+     << "  \"suppressed\": " << suppressed_count << ",\n"
+     << "  \"results\": [\n";
+  for (size_t i = 0; i < findings.size(); ++i) {
+    const Finding& f = findings[i];
+    os << "    {\"rule\": \"" << rule_name(f.rule) << "\", \"file\": \""
+       << json_escape(f.file) << "\", \"line\": " << f.line
+       << ", \"suppressed\": " << (f.suppressed ? "true" : "false")
+       << ", \"message\": \"" << json_escape(f.message) << "\",\n"
+       << "     \"path\": [";
+    for (size_t k = 0; k < f.path.size(); ++k) {
+      const Frame& fr = f.path[k];
+      os << (k > 0 ? ", " : "") << "{\"file\": \"" << json_escape(fr.file)
+         << "\", \"line\": " << fr.line << ", \"what\": \""
+         << json_escape(fr.what) << "\"}";
+    }
+    os << "]}" << (i + 1 < findings.size() ? "," : "") << "\n";
+  }
+  os << "  ]\n}\n";
+  return static_cast<bool>(os);
 }
 
 // Baseline: (relative path, rule) -> count of unsuppressed findings.
@@ -336,11 +390,6 @@ int run(const Options& opt) {
                  opt.json_path.c_str());
     return 2;
   }
-  if (!opt.sarif_path.empty() && !write_sarif(opt.sarif_path, findings)) {
-    std::fprintf(stderr, "txlint: cannot write '%s'\n",
-                 opt.sarif_path.c_str());
-    return 2;
-  }
 
   if (baseline_mode) {
     if (new_findings > 0) {
@@ -375,7 +424,6 @@ int run(const Options& opt) {
 int main(int argc, char** argv) {
   using namespace txlint;
   Options opt;
-  std::string validate_path;
 
   auto need = [&](int* i) -> const char* {
     if (*i + 1 >= argc) {
@@ -391,9 +439,6 @@ int main(int argc, char** argv) {
     if (a == "--json") {
       if ((v = need(&i)) == nullptr) return 2;
       opt.json_path = v;
-    } else if (a == "--sarif") {
-      if ((v = need(&i)) == nullptr) return 2;
-      opt.sarif_path = v;
     } else if (a == "--baseline") {
       if ((v = need(&i)) == nullptr) return 2;
       opt.baseline_path = v;
@@ -406,9 +451,6 @@ int main(int argc, char** argv) {
     } else if (a == "--exclude") {
       if ((v = need(&i)) == nullptr) return 2;
       opt.excludes.emplace_back(v);
-    } else if (a == "--validate-sarif") {
-      if ((v = need(&i)) == nullptr) return 2;
-      validate_path = v;
     } else if (a == "--verify-expectations") {
       opt.verify_expectations = true;
     } else if (a == "--exit-zero") {
@@ -421,21 +463,6 @@ int main(int argc, char** argv) {
     } else {
       opt.inputs.emplace_back(a);
     }
-  }
-
-  if (!validate_path.empty()) {
-    std::vector<std::string> problems = validate_sarif_file(validate_path);
-    if (problems.empty()) {
-      std::fprintf(stderr, "txlint: %s is structurally valid SARIF 2.1.0\n",
-                   validate_path.c_str());
-      return 0;
-    }
-    for (const std::string& p : problems) {
-      std::fprintf(stderr, "txlint: sarif: %s\n", p.c_str());
-    }
-    std::fprintf(stderr, "txlint: %zu SARIF validation problem(s) in %s\n",
-                 problems.size(), validate_path.c_str());
-    return 1;
   }
 
   if (opt.inputs.empty()) {
