@@ -5,7 +5,9 @@
 // Expected shape (paper, 10M records / 500 MiB): heap scan is fast
 // (sequential bandwidth); rebuild dominates and parallelizes well; the
 // skiplist rebuild is the slowest (log-depth reinsertions), the hash
-// table the fastest.
+// table the fastest. Each row also prints the two phases of
+// EpochSys::recover: the parallel scan, and the relink, which runs on
+// one thread per owner (a standalone structure is one owner).
 #include <memory>
 
 #include "bench/bench_common.hpp"
@@ -68,16 +70,19 @@ void study(const char* name, std::size_t cap, MakeTree&& make, Fill&& fill,
     auto structure = make(*w.es);
     const std::size_t n = recover(*structure, threads);
     const std::uint64_t t1 = now_ns();
-    const std::uint64_t persisted = w.es->last_recovery().headers_persisted;
+    const epoch::RecoveryReport& rep = w.es->last_recovery();
     bench::record_row(name, "recovery_ms", threads, (t1 - t0) / 1e6, "ms");
+    bench::record_row(name, "scan_ms", threads, rep.scan_ns / 1e6, "ms");
+    bench::record_row(name, "relink_ms", threads, rep.relink_ns / 1e6, "ms");
     bench::record_row(name, "records", threads, static_cast<double>(n),
                       "records");
     bench::record_row(name, "headers_persisted", threads,
-                      static_cast<double>(persisted), "headers");
+                      static_cast<double>(rep.headers_persisted), "headers");
     std::printf("%-14s threads=%-2d records=%-9zu recovery=%8.1f ms "
-                "headers_persisted=%llu\n",
-                name, threads, n, (t1 - t0) / 1e6,
-                static_cast<unsigned long long>(persisted));
+                "(scan=%6.1f relink=%6.1f) headers_persisted=%llu\n",
+                name, threads, n, (t1 - t0) / 1e6, rep.scan_ns / 1e6,
+                rep.relink_ns / 1e6,
+                static_cast<unsigned long long>(rep.headers_persisted));
     std::fflush(stdout);
   }
 }
@@ -139,9 +144,11 @@ void corruption_sweep(std::uint64_t records, int ubits, std::size_t cap) {
                       static_cast<double>(rep.headers_persisted), "headers");
     std::printf(
         "  corrupt=%5.1f%% lines_hit=%-7llu recovery=%8.1f ms "
-        "headers_persisted=%-6llu recovered=%-9zu pairs_lost=%-7llu "
+        "(scan=%6.1f relink=%6.1f) headers_persisted=%-6llu "
+        "recovered=%-9zu pairs_lost=%-7llu "
         "quarantined=%-6llu (checksum=%llu epoch=%llu superblocks=%llu)\n",
         frac * 100.0, static_cast<unsigned long long>(hit), (t1 - t0) / 1e6,
+        rep.scan_ns / 1e6, rep.relink_ns / 1e6,
         static_cast<unsigned long long>(rep.headers_persisted), n,
         static_cast<unsigned long long>(lost),
         static_cast<unsigned long long>(rep.blocks_quarantined),

@@ -108,7 +108,8 @@ class PAllocator {
   /// claimed its superblock: fn(worker, BlockHeader*, void* payload),
   /// worker in [0, threads). Each worker calls done(worker) on its own
   /// thread after its last block, also when fn threw; the first
-  /// exception is rethrown after the join. The recovery scan runs on this.
+  /// exception of either is rethrown after the join. The recovery scan
+  /// runs on this, and its relink phase runs in done.
   template <typename Fn, typename Done>
   void for_each_block(int threads, Fn&& fn, Done&& done) {
     std::vector<std::size_t> units;
@@ -119,6 +120,10 @@ class PAllocator {
     std::atomic<std::size_t> cursor{0};
     std::mutex error_mu;
     std::exception_ptr error;  // guarded by error_mu
+    auto keep_first = [&] {
+      std::scoped_lock lk(error_mu);
+      if (!error) error = std::current_exception();
+    };
     auto work = [&](int worker) {
       try {
         for (;;) {
@@ -130,10 +135,13 @@ class PAllocator {
           });
         }
       } catch (...) {
-        std::scoped_lock lk(error_mu);
-        if (!error) error = std::current_exception();
+        keep_first();
       }
-      done(worker);
+      try {
+        done(worker);
+      } catch (...) {
+        keep_first();
+      }
     };
     std::vector<std::thread> helpers;
     for (int w = 1; w < threads; ++w) helpers.emplace_back(work, w);

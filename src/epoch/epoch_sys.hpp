@@ -54,10 +54,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <cassert>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <stop_token>
 #include <thread>
 #include <vector>
@@ -143,7 +145,7 @@ struct EpochStats {
 /// pair is lost — instead of being dereferenced or free-listed.
 struct RecoveryReport {
   std::uint64_t blocks_scanned = 0;
-  std::uint64_t blocks_live = 0;         // handed to the live callback
+  std::uint64_t blocks_live = 0;         // handed to an owner's relink
   std::uint64_t blocks_resurrected = 0;  // deleted past the frontier: undone
   std::uint64_t blocks_discarded = 0;    // dead or uncommitted: freed
   std::uint64_t blocks_quarantined = 0;  // failed integrity checks: leaked
@@ -154,9 +156,13 @@ struct RecoveryReport {
   /// (resurrected, discarded or newly quarantined). Unchanged live
   /// headers are already durable and cost none.
   std::uint64_t headers_persisted = 0;
+  /// Wall time of the two phases: the parallel classify pass up to the
+  /// barrier, and the per-owner relink after it.
+  std::uint64_t scan_ns = 0;
+  std::uint64_t relink_ns = 0;
 
-  /// Sum of per-worker counts (superblocks_quarantined is heap-wide and
-  /// set once, after the scan).
+  /// Sum of per-worker counts (superblocks_quarantined and the phase
+  /// times are heap-wide and set once, after the join).
   RecoveryReport& operator+=(const RecoveryReport& o) {
     blocks_scanned += o.blocks_scanned;
     blocks_live += o.blocks_live;
@@ -168,6 +174,12 @@ struct RecoveryReport {
     headers_persisted += o.headers_persisted;
     return *this;
   }
+};
+
+/// A live block as the recovery scan hands it to its owner's relink.
+struct LiveBlock {
+  void* payload;
+  std::uint64_t create_epoch;
 };
 
 class EpochSys {
@@ -362,34 +374,44 @@ class EpochSys {
 
   /// Post-crash constructor path: attach to the heap, classify every
   /// block, neutralize dead ones, resurrect recently-deleted ones, and
-  /// hand each live payload to `live_fn(void* payload, std::uint64_t
-  /// create_epoch)`. The caller (a data structure) rebuilds its DRAM
-  /// index from these callbacks.
+  /// hand the live blocks to their owners, from which the caller (one
+  /// or more data structures) rebuilds its DRAM indexes.
   ///
-  /// One pass on `threads` workers (the caller included) that claim
-  /// superblocks from a shared cursor (PAllocator::for_each_block): each
-  /// worker classifies its blocks and calls live_fn on its own thread, so
-  /// live_fn must be thread-safe when threads > 1. It may pDelete a
-  /// duplicate it loses to; that only marks the block kFree, and the
-  /// free-list rebuild after the join picks it up.
+  /// Two phases on `threads` workers, the caller included:
+  ///   1. Scan. The workers claim superblocks from a shared cursor
+  ///      (PAllocator::for_each_block) and classify their blocks. Each
+  ///      worker files the live ones under `owner_of(void* payload)`, an
+  ///      int in [0, owners), in lists of its own.
+  ///   2. Relink. Behind a barrier worker w takes owner w, and the
+  ///      workers claim any further owners from a cursor. The claimer
+  ///      calls `relink(int owner, std::span<LiveBlock>)` once per owner
+  ///      with every live block of that owner. An owner is thus
+  ///      relinked on exactly one thread and may use plain accesses
+  ///      (htm::OwnerAccess); the join orders them before anything after
+  ///      recover(). relink may pDelete a duplicate it loses to; that
+  ///      only marks the block kFree, and the free-list rebuild after the
+  ///      join picks it up.
+  /// No thread beyond the scan's workers is started: thread ids are
+  /// never recycled, and suites that recover many times would run out.
   ///
   /// The scan writes back only the headers it changes (resurrected,
   /// discarded, quarantined). A live header that already reads kAllocated
   /// with no delete epoch is left alone: after a crash the working image
   /// is the media image, so its normalized form is already durable. The
   /// device keeps pending write-backs per thread, so every worker drains
-  /// its own before it exits.
+  /// its own before the barrier.
   ///
   /// The scan is defensive against media corruption: every header must
   /// pass the allocator's integrity check (tag over the init-constant
   /// fields) and carry epoch stamps inside the sanity horizon before it
   /// is classified; anything else is quarantined — leaked, never handed
-  /// to live_fn or a free list — and counted in the returned
+  /// to an owner or a free list — and counted in the returned
   /// RecoveryReport. A header whose status bytes were zeroed reads as
   /// kFree and is silently skipped, which is the same bounded data loss
   /// (the block was durable, its pair is gone) without the count.
-  template <typename Fn>
-  RecoveryReport recover(Fn&& live_fn, int threads = 1) {
+  template <typename OwnerOf, typename Relink>
+  RecoveryReport recover(int owners, OwnerOf&& owner_of, Relink&& relink,
+                         int threads) {
     const std::uint64_t t_scan = now_ns();
     const std::uint64_t p = persisted_epoch();
     const std::uint64_t frontier = recovery_frontier(p);
@@ -407,8 +429,13 @@ class EpochSys {
     auto epoch_sane = [&](std::uint64_t e) {
       return e == kInvalidEpoch || (e >= kFirstEpoch && e <= horizon);
     };
+    assert(owners >= 1);
     threads = std::max(threads, 1);
     std::vector<Padded<RecoveryReport>> parts(threads);
+    // found[worker * owners + owner]: the live blocks one worker filed
+    // for one owner.
+    std::vector<Padded<std::vector<LiveBlock>>> found(
+        static_cast<std::size_t>(threads) * owners);
     auto scan = [&](int worker, alloc::BlockHeader* hdr, void* payload) {
       RecoveryReport& rep = parts[worker].value;
       auto write_back = [&] {
@@ -462,12 +489,38 @@ class EpochSys {
         write_back();
       }
       ++rep.blocks_live;
-      live_fn(payload, hdr->create_epoch);
+      const int owner = owner_of(payload);
+      assert(owner >= 0 && owner < owners);
+      found[static_cast<std::size_t>(worker) * owners + owner]
+          .value.push_back({payload, hdr->create_epoch});
     };
-    pa_.for_each_block(threads, scan, [&](int) { dev.drain(); });
+    std::uint64_t t_relink = 0;
+    std::barrier scanned(threads, [&]() noexcept { t_relink = now_ns(); });
+    std::atomic<int> next_owner{0};
+    auto relink_owners = [&](int worker) {
+      dev.drain();
+      scanned.arrive_and_wait();
+      // Worker w relinks owner w first, so the placement is fixed (one
+      // owner relinks on the calling thread); owners past the worker
+      // count are claimed from a cursor.
+      for (int o = worker; o < owners;
+           o = threads + next_owner.fetch_add(1, std::memory_order_relaxed)) {
+        // Worker 0's list moves; the other workers' lists append to it.
+        std::vector<LiveBlock> blocks = std::move(found[o].value);
+        for (int w = 1; w < threads; ++w) {
+          const auto& part =
+              found[static_cast<std::size_t>(w) * owners + o].value;
+          blocks.insert(blocks.end(), part.begin(), part.end());
+        }
+        relink(o, std::span<LiveBlock>(blocks));
+      }
+    };
+    pa_.for_each_block(threads, scan, relink_owners);
     RecoveryReport rep{};
     for (const auto& part : parts) rep += part.value;
     rep.superblocks_quarantined = pa_.corrupt_superblock_count();
+    rep.scan_ns = t_relink - t_scan;
+    rep.relink_ns = now_ns() - t_relink;
     pa_.rebuild_free_lists();
     // Resume strictly after every epoch that may appear on a live block.
     global_epoch_.store(p + 2, std::memory_order_release);
@@ -476,6 +529,18 @@ class EpochSys {
     obs::trace_complete(obs::TraceEventType::kRecovery, t_scan,
                         rep.blocks_scanned, rep.blocks_quarantined);
     return rep;
+  }
+
+  /// The one-owner case: `live_fn(void* payload, std::uint64_t
+  /// create_epoch)` runs on one thread for every live block.
+  template <typename Fn>
+  RecoveryReport recover(Fn&& live_fn, int threads = 1) {
+    return recover(
+        1, [](void*) { return 0; },
+        [&](int, std::span<LiveBlock> blocks) {
+          for (const LiveBlock& b : blocks) live_fn(b.payload, b.create_epoch);
+        },
+        threads);
   }
 
   /// Report of the most recent recover() on this instance.
@@ -617,5 +682,18 @@ class EpochSys {
 
   std::jthread advancer_;  // last member: joins before the rest dies
 };
+
+/// Post-crash rebuild of one structure, the single owner of every live
+/// block: EpochSys::recover on `threads` workers, then
+/// s.relink_recovered(blocks) on one thread. Returns the live count.
+template <typename Structure>
+std::size_t recover_into(EpochSys& es, Structure& s, int threads) {
+  return es
+      .recover(
+          1, [](void*) { return 0; },
+          [&](int, std::span<LiveBlock> blocks) { s.relink_recovered(blocks); },
+          threads)
+      .blocks_live;
+}
 
 }  // namespace bdhtm::epoch

@@ -345,55 +345,40 @@ void BDSpash::finish_batch(epoch::BatchOp* ops, std::size_t m,
   }
 }
 
-void BDSpash::link_one_recovered(KVPair* kv) {
+bool BDSpash::link_one_recovered(KVPair* kv) {
+  htm::OwnerAccess acc;
   const std::uint64_t key = kv->key;
-  const std::uint64_t h = mix(key);
-  KVPair* loser = htm::elide<KVPair*>(
-      policy_, policy_.mask_of_hash(h), [&](auto& acc) -> KVPair* {
-    Bucket& b = locate(acc, h);
-    int free_slot = -1;
-    for (int i = 0; i < kSlotsPerBucket; ++i) {
-      const std::uint64_t k = acc.load(&b.keys[i]);
-      if (k == key) {
-        auto* cur = reinterpret_cast<KVPair*>(acc.load(&b.kvs[i]));
-        if (block_epoch(cur) < block_epoch(kv)) {
-          acc.store(&b.kvs[i], reinterpret_cast<std::uint64_t>(kv));
-          return cur;
-        }
-        return kv;
+  Bucket& b = locate(acc, mix(key));
+  int free_slot = -1;
+  for (int i = 0; i < kSlotsPerBucket; ++i) {
+    const std::uint64_t k = acc.load(&b.keys[i]);
+    if (k == key) {
+      auto* cur = reinterpret_cast<KVPair*>(acc.load(&b.kvs[i]));
+      if (block_epoch(cur) < block_epoch(kv)) {
+        acc.store(&b.kvs[i], reinterpret_cast<std::uint64_t>(kv));
+        es_.pDelete(cur);
+      } else {
+        es_.pDelete(kv);
       }
-      if (k == kEmptyKey && free_slot < 0) free_slot = i;
+      return true;
     }
-    if (free_slot < 0) acc.fail(kFullBucket);
-    acc.store(&b.kvs[free_slot], reinterpret_cast<std::uint64_t>(kv));
-    acc.store(&b.keys[free_slot], key);
-    return nullptr;
-  });
-  if (loser != nullptr) es_.pDelete(loser);
+    if (k == kEmptyKey && free_slot < 0) free_slot = i;
+  }
+  if (free_slot < 0) return false;
+  acc.store(&b.kvs[free_slot], reinterpret_cast<std::uint64_t>(kv));
+  acc.store(&b.keys[free_slot], key);
+  return true;
 }
 
-void BDSpash::relink_recovered(KVPair* kv, std::uint64_t /*create_epoch*/) {
-  // The block header already carries the epoch link_one_recovered
-  // compares; the parameter exists for the shared shard-adapter
-  // signature. Full buckets split and retry here so callers never see
-  // kFullBucket.
-  for (;;) {
-    try {
-      link_one_recovered(kv);
-      return;
-    } catch (const htm::FallbackRestart& fr) {
-      assert(fr.code == kFullBucket);
-      (void)fr;
-      split(mix(kv->key));
-    }
+void BDSpash::relink_recovered(std::span<epoch::LiveBlock> blocks) {
+  for (const epoch::LiveBlock& b : blocks) {
+    auto* kv = static_cast<KVPair*>(b.payload);
+    while (!link_one_recovered(kv)) split(mix(kv->key));
   }
 }
 
 std::size_t BDSpash::recover(int threads) {
-  const auto relink = [this](void* payload, std::uint64_t ce) {
-    relink_recovered(static_cast<KVPair*>(payload), ce);
-  };
-  return es_.recover(relink, threads).blocks_live;
+  return epoch::recover_into(es_, *this, threads);
 }
 
 }  // namespace bdhtm::hash

@@ -23,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/threading.hpp"
@@ -75,13 +76,15 @@ class BDSpash {
   void apply_batch(epoch::BatchOp* ops, std::size_t n);
 
   /// Reset the DRAM directory to its initial depth (sharded recovery
-  /// resets every shard, then routes scanned blocks back via
+  /// resets every shard, then hands each shard its scanned blocks via
   /// relink_recovered).
   void reset_index();
 
-  /// Link one recovered block; duplicate keys keep the newer epoch.
-  /// Splits internally on full buckets. Thread-safe.
-  void relink_recovered(epoch::KVPair* kv, std::uint64_t create_epoch);
+  /// Link recovered blocks with plain accesses (htm::OwnerAccess);
+  /// duplicate keys keep the newer epoch, in either arrival order.
+  /// Splits internally on full buckets. The caller owns the table
+  /// outright, as PHTMvEB::relink_recovered describes.
+  void relink_recovered(std::span<epoch::LiveBlock> blocks);
 
   std::uint64_t nvm_bytes() const { return es_.allocator().bytes_in_use(); }
   epoch::EpochSys& epoch_sys() { return es_; }
@@ -141,7 +144,8 @@ class BDSpash {
   void get_in_tx(Acc& acc, std::uint64_t h, std::uint64_t key, OpCtl& ctl);
   void finish_batch(epoch::BatchOp* ops, std::size_t m, std::size_t n);
   void route_persist(epoch::KVPair* blk, std::uint64_t h);
-  void link_one_recovered(epoch::KVPair* kv);
+  /// One block of relink_recovered; false when its bucket is full.
+  bool link_one_recovered(epoch::KVPair* kv);
 
   epoch::EpochSys& es_;
   nvm::Device& dev_;

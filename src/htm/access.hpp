@@ -4,7 +4,9 @@
 // structure (paper Listing 1: the fallback "path similar to lines 20-36").
 //
 // Both access modes go through the engine's stripe table, so fallback
-// writes conflict with — and abort — concurrent transactions.
+// writes conflict with — and abort — concurrent transactions. The third
+// mode, OwnerAccess, is for a thread that owns a structure outright
+// (recovery's relink, DESIGN.md §5): plain loads and stores, no stripes.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +65,25 @@ struct NontxAccess {
         checked::pb_publish_value(word, "htm::NontxAccess::store_nvm");
       }
     }
+  }
+  [[noreturn]] void fail(std::uint8_t code) { throw FallbackRestart{code}; }
+  static constexpr bool transactional() { return false; }
+};
+
+/// Owner-exclusive access: plain loads and stores, for a thread that is
+/// the only one touching the structure and that no transaction overlaps
+/// (recovery's relink). Nothing bumps a stripe version, so the caller
+/// must order these writes before any later transaction by a
+/// happens-before edge (recovery's join); the TL2 snapshot of that
+/// transaction then reads their values under unchanged versions.
+struct OwnerAccess {
+  template <typename T>
+  T load(const T* p) {
+    return *p;
+  }
+  template <typename T>
+  void store(T* p, T v) {
+    *p = v;
   }
   [[noreturn]] void fail(std::uint8_t code) { throw FallbackRestart{code}; }
   static constexpr bool transactional() { return false; }

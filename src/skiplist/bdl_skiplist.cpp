@@ -1,6 +1,8 @@
 #include "skiplist/bdl_skiplist.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <vector>
 
 namespace bdhtm::skiplist {
 
@@ -194,37 +196,37 @@ htm::StripeMask BDLSkiplist::footprint(std::uint64_t key) const {
          pol.mask_of_hash(splitmix64(key ^ 0x9e3779b97f4a7c15ULL));
 }
 
-void BDLSkiplist::relink_recovered(KVPair* kv,
-                                   std::uint64_t /*create_epoch*/) {
-  for (;;) {
-    Node* existing = nullptr;
-    if (base_->insert_node(kv->key, reinterpret_cast<std::uint64_t>(kv),
-                           &existing)) {
-      return;
+void BDLSkiplist::relink_recovered(std::span<epoch::LiveBlock> blocks) {
+  struct Keyed {
+    std::uint64_t key;
+    KVPair* kv;
+  };
+  std::vector<Keyed> sorted;
+  sorted.reserve(blocks.size());
+  for (const epoch::LiveBlock& b : blocks) {
+    auto* kv = static_cast<KVPair*>(b.payload);
+    sorted.push_back({kv->key, kv});
+  }
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Keyed& a, const Keyed& b) { return a.key < b.key; });
+  Base::Appender app(*base_);
+  for (std::size_t i = 0; i < sorted.size();) {
+    // Duplicate key: keep the newer block (ties are value-identical).
+    KVPair* keep = sorted[i].kv;
+    std::size_t j = i + 1;
+    for (; j < sorted.size() && sorted[j].key == sorted[i].key; ++j) {
+      KVPair* other = sorted[j].kv;
+      if (block_epoch(other) > block_epoch(keep)) std::swap(keep, other);
+      es_.pDelete(other);
     }
-    // Duplicate key: keep the newer block.
-    auto* cur = reinterpret_cast<KVPair*>(base_->read_value(existing));
-    if (block_epoch(cur) >= block_epoch(kv)) {
-      es_.pDelete(kv);
-      return;
-    }
-    if (base_->update_value(existing, reinterpret_cast<std::uint64_t>(cur),
-                            reinterpret_cast<std::uint64_t>(kv))) {
-      es_.pDelete(cur);
-      return;
-    }
-    // A concurrent relink changed the node's value or linked a neighbour
-    // after it (update_value pins next[0]): compare again, or the newer
-    // block would be dropped.
+    app.append(sorted[i].key, reinterpret_cast<std::uint64_t>(keep));
+    i = j;
   }
 }
 
 std::size_t BDLSkiplist::recover(int threads) {
   reset_index();
-  const auto relink = [this](void* payload, std::uint64_t ce) {
-    relink_recovered(static_cast<KVPair*>(payload), ce);
-  };
-  return es_.recover(relink, threads).blocks_live;
+  return epoch::recover_into(es_, *this, threads);
 }
 
 }  // namespace bdhtm::skiplist

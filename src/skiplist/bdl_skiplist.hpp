@@ -15,12 +15,13 @@
 // retire/track after commit. The rules are written once, in apply_batch;
 // the single-op insert/remove/find are one-op batches (epoch::apply_one).
 // After a crash, recover() scans the heap and rebuilds the towers from
-// the surviving blocks.
+// the surviving blocks on one thread: sorted by key, then appended.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "common/defs.hpp"
 #include "common/threading.hpp"
@@ -63,9 +64,12 @@ class BDLSkiplist {
   /// Drop the DRAM towers (sharded recovery support).
   void reset_index();
 
-  /// Link one recovered block; duplicate keys keep the newer epoch.
-  /// Thread-safe.
-  void relink_recovered(epoch::KVPair* kv, std::uint64_t create_epoch);
+  /// Build the towers of an empty (fresh or reset) list from recovered
+  /// blocks: sort them by key, keep the newest epoch of each key and
+  /// pDelete the other copies, whatever their order in `blocks`, then
+  /// append the winners in order with plain stores. The caller owns the
+  /// list outright, as PHTMvEB::relink_recovered describes.
+  void relink_recovered(std::span<epoch::LiveBlock> blocks);
 
   std::uint64_t nvm_bytes() const { return es_.allocator().bytes_in_use(); }
   epoch::EpochSys& epoch_sys() { return es_; }

@@ -208,6 +208,35 @@ class SkiplistBase {
     return true;
   }
 
+  /// Owner-exclusive bulk load: appends nodes in strictly ascending key
+  /// order to a list that starts empty, with plain stores and one finger
+  /// per level at that level's last node, so each append costs O(height)
+  /// instead of a search. Only for a thread that holds the list outright
+  /// with DRAM towers (recovery's relink); a happens-before edge must
+  /// order the appends before any concurrent use.
+  class Appender {
+   public:
+    explicit Appender(SkiplistBase& sl)
+      requires(Ops::kDramNodes)
+        : sl_(sl) {
+      assert(sl.ops_.read(&sl.head_->next[0]) == 0 && "list is not empty");
+      for (Node*& f : last_) f = sl.head_;
+    }
+    void append(std::uint64_t key, std::uint64_t slot) {
+      assert(last_[0] == sl_.head_ || last_[0]->key < key);
+      const int h = sl_.random_level();
+      Node* node = sl_.make_node(key, slot, h);
+      for (int i = 0; i < h; ++i) {
+        last_[i]->next[i] = as_word(node);
+        last_[i] = node;
+      }
+    }
+
+   private:
+    SkiplistBase& sl_;
+    Node* last_[kMaxLevel];
+  };
+
   /// Level-0 walk for audits/recovery; fn(Node*) on each unmarked node.
   template <typename Fn>
   void for_each_live(Fn&& fn) {

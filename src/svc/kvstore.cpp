@@ -425,12 +425,17 @@ void KVStore::close() {
 
 std::size_t KVStore::recover(int threads) {
   for (auto& s : shards_) s->reset_index();
-  const auto relink = [this](void* p, std::uint64_t ce) {
-    auto* kv = static_cast<epoch::KVPair*>(p);
-    shards_[static_cast<std::size_t>(shard_of(kv->key))]->relink_recovered(
-        kv, ce);
-  };
-  return es_.recover(relink, threads).blocks_live;
+  return es_
+      .recover(
+          shards(),
+          [this](void* p) {
+            return shard_of(static_cast<epoch::KVPair*>(p)->key);
+          },
+          [this](int s, std::span<epoch::LiveBlock> blocks) {
+            shards_[static_cast<std::size_t>(s)]->relink_recovered(blocks);
+          },
+          threads)
+      .blocks_live;
 }
 
 }  // namespace bdhtm::svc

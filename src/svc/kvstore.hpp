@@ -184,8 +184,9 @@ class KVStore {
   bool closed() const { return closed_.load(std::memory_order_acquire); }
 
   /// Sharded post-crash rebuild: reset every shard, then ONE heap scan on
-  /// `threads` workers, each routing the live blocks it finds to their
-  /// shards. Call before any submission. Returns the live block count.
+  /// `threads` workers that files each live block under its shard, and a
+  /// relink in which the same workers take whole shards, one thread per
+  /// shard. Call before any submission. Returns the live block count.
   std::size_t recover(int threads = 1);
 
   int shards() const { return static_cast<int>(shards_.size()); }
@@ -206,6 +207,9 @@ class KVStore {
   std::uint64_t rejected_on_close_total() const {
     return rejected_on_close_.load();
   }
+  /// Requests in `client`'s queue that no worker has taken yet (exact on
+  /// the client's or its worker's thread, a snapshot elsewhere).
+  std::size_t queued(int client) const { return queues_[client]->size(); }
 
  private:
   static constexpr std::uint64_t kShardSeed = 0x7f4a7c15ca7b9a1dULL;

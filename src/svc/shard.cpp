@@ -49,8 +49,8 @@ class Shard final : public ShardIndex {
     t_.apply_batch(ops, n);
   }
   void reset_index() override { t_.reset_index(); }
-  void relink_recovered(epoch::KVPair* kv, std::uint64_t ce) override {
-    t_.relink_recovered(kv, ce);
+  void relink_recovered(std::span<epoch::LiveBlock> blocks) override {
+    t_.relink_recovered(blocks);
   }
   htm::FallbackPolicy& fallback_policy() override {
     return t_.fallback_policy();

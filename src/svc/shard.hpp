@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "epoch/batch.hpp"
@@ -57,11 +58,11 @@ class ShardIndex {
   virtual htm::FallbackPolicy& fallback_policy() = 0;
   virtual htm::StripeMask footprint(std::uint64_t key) const = 0;
 
-  // Sharded recovery: the store resets every shard, runs ONE heap scan,
-  // and routes each surviving block to its shard's relink_recovered.
+  // Sharded recovery: the store resets every shard, runs ONE heap scan
+  // with a shard as the owner of its keys' blocks, and hands each shard
+  // its whole list on one thread (EpochSys::recover).
   virtual void reset_index() = 0;
-  virtual void relink_recovered(epoch::KVPair* kv,
-                                std::uint64_t create_epoch) = 0;
+  virtual void relink_recovered(std::span<epoch::LiveBlock> blocks) = 0;
 };
 
 std::unique_ptr<ShardIndex> make_shard(Backend b, epoch::EpochSys& es,

@@ -236,33 +236,30 @@ void PHTMvEB::reset_index() {
   core_ = std::make_unique<VebCore>(core_->ubits());
 }
 
-void PHTMvEB::relink_recovered(KVPair* kv, std::uint64_t create_epoch) {
-  KVPair* loser = htm::elide<KVPair*>(
-      policy_, footprint(kv->key), [&](auto& acc) -> KVPair* {
-    const std::uint64_t key = kv->key;
-    if (std::uint64_t* sa = core_->slot_addr(acc, key)) {
+void PHTMvEB::relink_recovered(std::span<epoch::LiveBlock> blocks) {
+  htm::OwnerAccess acc;
+  for (const epoch::LiveBlock& b : blocks) {
+    auto* kv = static_cast<KVPair*>(b.payload);
+    if (std::uint64_t* sa = core_->slot_addr(acc, kv->key)) {
       auto* cur = reinterpret_cast<KVPair*>(acc.load(sa));
       // Duplicate key: keep the newer block (ties are value-identical by
       // construction — see the unused-preallocation discussion in
       // DESIGN.md).
-      if (block_epoch(cur) < create_epoch) {
+      if (block_epoch(cur) < b.create_epoch) {
         acc.store(sa, reinterpret_cast<std::uint64_t>(kv));
-        return cur;
+        es_.pDelete(cur);
+      } else {
+        es_.pDelete(kv);
       }
-      return kv;
+      continue;
     }
-    core_->insert_new(acc, key, reinterpret_cast<std::uint64_t>(kv));
-    return nullptr;
-  });
-  if (loser != nullptr) es_.pDelete(loser);
+    core_->insert_new(acc, kv->key, reinterpret_cast<std::uint64_t>(kv));
+  }
 }
 
 std::size_t PHTMvEB::recover(int threads) {
   reset_index();
-  const auto relink = [this](void* payload, std::uint64_t ce) {
-    relink_recovered(static_cast<KVPair*>(payload), ce);
-  };
-  return es_.recover(relink, threads).blocks_live;
+  return epoch::recover_into(es_, *this, threads);
 }
 
 }  // namespace bdhtm::veb

@@ -19,12 +19,13 @@
 // before the retry (the paper's Fig. 2 mitigation).
 //
 // After a crash, recover() scans the NVM heap (epoch-system §5.2 rules)
-// and rebuilds the DRAM index from the surviving KV blocks, optionally
-// with multiple threads (§5.2's recovery study).
+// on one or more threads (§5.2's recovery study) and rebuilds the DRAM
+// index from the surviving KV blocks on one thread, without transactions.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/defs.hpp"
@@ -57,9 +58,9 @@ class PHTMvEB {
   std::optional<std::pair<std::uint64_t, std::uint64_t>> successor(
       std::uint64_t key);
 
-  /// Post-crash rebuild: resets the DRAM index and runs the epoch-system
-  /// recovery scan on `threads` workers, each reinserting the live KV
-  /// blocks it finds. Returns the number of live pairs.
+  /// Post-crash rebuild: resets the DRAM index, runs the epoch-system
+  /// recovery scan on `threads` workers, and relinks the live KV blocks
+  /// (the tree is one owner). Returns the number of live pairs.
   std::size_t recover(int threads = 1);
 
   /// The one operation path (DESIGN.md §10): apply ops[0..n) under the
@@ -70,12 +71,17 @@ class PHTMvEB {
   void apply_batch(epoch::BatchOp* ops, std::size_t n);
 
   /// Drop the DRAM index (sharded recovery resets every shard, scans the
-  /// shared heap once, and routes blocks back via relink_recovered).
+  /// shared heap once, and hands each shard its blocks via
+  /// relink_recovered).
   void reset_index();
 
-  /// Link one recovered block into the index; on duplicate keys the
-  /// newer-epoch block wins and the loser is reclaimed. Thread-safe.
-  void relink_recovered(epoch::KVPair* kv, std::uint64_t create_epoch);
+  /// Link recovered blocks into the index with plain accesses
+  /// (htm::OwnerAccess); on duplicate keys the newer-epoch block wins and
+  /// the loser is reclaimed, in either arrival order. The caller owns the
+  /// tree outright: nothing else touches it until the call returns, and
+  /// a happens-before edge (recovery's join) orders the call before any
+  /// later operation.
+  void relink_recovered(std::span<epoch::LiveBlock> blocks);
 
   int ubits() const { return core_->ubits(); }
   std::uint64_t dram_bytes() const { return core_->dram_bytes(); }

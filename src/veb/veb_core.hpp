@@ -24,6 +24,7 @@
 // design.
 #pragma once
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstring>

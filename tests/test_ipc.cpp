@@ -213,8 +213,10 @@ TEST(Ipc, InProcessRoundTrip) {
 }
 
 // Bounded arena: with every slot in flight submit() sheds client-side;
-// the slots resolve with the store's typed verdict (kRejected here: the
-// store's drainers are never started, so close() sweeps the queue).
+// the slot resolves with the store's typed verdict (kRejected here: the
+// store's drainers are never started, so close() sweeps the queue). One
+// slot keeps the test independent of when the session scans: there is
+// only ever one request to pick.
 TEST(Ipc, ClientSideShedAndTypedRejection) {
   IpcWorld w;
   svc::KVStoreConfig cfg = ipc_store_cfg(2);
@@ -229,34 +231,30 @@ TEST(Ipc, ClientSideShedAndTypedRejection) {
 
   ipc::ShmClient cli;
   ipc::ShmClient::Options opt;
-  opt.slots = 2;
-  const std::uint64_t req0 = counter_total("ipc.requests");
+  opt.slots = 1;
   ASSERT_EQ(cli.connect(dir, opt), ipc::ShmClient::Err::kOk);
   const int s0 = cli.submit(ipc::kOpPut, 1, 10);
-  const int s1 = cli.submit(ipc::kOpPut, 2, 20);
   ASSERT_GE(s0, 0);
-  ASSERT_GE(s1, 0);
-  // Let the session thread enqueue both into the store (they then park
-  // there: the store's drainers are never started) so the close sweep —
-  // not close-time admission — is what resolves them.
-  for (int spin = 0; counter_total("ipc.requests") - req0 < 2; ++spin) {
+  // Wait until the session thread has queued it in the store (where it
+  // parks: the store's drainers are never started), so the close sweep
+  // — not close-time admission — is what resolves it. The session is
+  // the store's client kv_client_base + 0.
+  for (int spin = 0; store.queued(scfg.kv_client_base) == 0; ++spin) {
     ASSERT_LT(spin, 10'000);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // Both slots in flight -> client-side shed, no syscall, no server.
-  EXPECT_EQ(cli.submit(ipc::kOpPut, 3, 30), -1);
-  // Unstick the in-flight ops: the close sweep resolves them kRejected
-  // and the verdict must travel the wire typed, not as a timeout.
+  // The slot is in flight -> client-side shed, no syscall, no server.
+  EXPECT_EQ(cli.submit(ipc::kOpPut, 2, 20), -1);
+  // Unstick the in-flight op: the close sweep resolves it kRejected and
+  // the verdict must travel the wire typed, not as a timeout.
   store.close();
   ipc::ShmClient::Reply rep;
   ASSERT_EQ(cli.wait(s0, &rep), ipc::ShmClient::Err::kOk);
   EXPECT_EQ(rep.status, ipc::kStRejected);
+  // The slot freed by wait(): submit works again (and resolves kClosed).
+  const int s1 = cli.submit(ipc::kOpPut, 2, 20);
+  ASSERT_GE(s1, 0);
   ASSERT_EQ(cli.wait(s1, &rep), ipc::ShmClient::Err::kOk);
-  EXPECT_EQ(rep.status, ipc::kStRejected);
-  // Slots freed by wait(): submit works again (and resolves kClosed).
-  const int s2 = cli.submit(ipc::kOpPut, 3, 30);
-  ASSERT_GE(s2, 0);
-  ASSERT_EQ(cli.wait(s2, &rep), ipc::ShmClient::Err::kOk);
   EXPECT_EQ(rep.status, ipc::kStClosed);
   cli.disconnect();
   server.close();

@@ -403,13 +403,12 @@ TEST(BDLSkiplistTest, MultithreadedRecovery) {
   for (auto& [k, v] : ref) ASSERT_EQ(rec->find(k), v) << k;
 }
 
-// Recovery workers relink at once. A duplicate's value update pins the
-// node's level-0 link, so it fails when another worker links a neighbour
-// after the node meanwhile; the relink must then compare again instead
-// of dropping the newer block. Two threads step through the keys in
-// lockstep: one relinks the newer copy of key 2i while the other links
-// key 2i+1 right behind it.
-TEST(BDLSkiplistTest, ConcurrentRelinkKeepsNewerDuplicate) {
+// Recovery hands an owner all its live blocks in one list, and the two
+// copies of a key can arrive in either order: the relink keeps the newer
+// block and pDeletes the older one. Even keys list their older copy
+// first, odd keys their newer copy first; keys past 2 * kKeys have one
+// copy only.
+TEST(BDLSkiplistTest, RelinkKeepsNewerDuplicateInEitherOrder) {
   BdlEnv env;
   constexpr std::uint64_t kKeys = 5000;
   auto block = [&](std::uint64_t k, std::uint64_t v, std::uint64_t e) {
@@ -421,28 +420,33 @@ TEST(BDLSkiplistTest, ConcurrentRelinkKeepsNewerDuplicate) {
     return kv;
   };
   constexpr std::uint64_t kOld = epoch::EpochSys::kFirstEpoch;
-  std::vector<epoch::KVPair*> newer, odd;
-  for (std::uint64_t i = 0; i < kKeys; ++i) {
-    env.sl->relink_recovered(block(2 * i, 1, kOld), kOld);
-    newer.push_back(block(2 * i, 2, kOld + 1));
-    odd.push_back(block(2 * i + 1, 3, kOld));
-  }
-  std::atomic<std::uint64_t> reached[2] = {0, 0};
-  auto step = [&](int me, const std::vector<epoch::KVPair*>& blocks) {
-    for (std::uint64_t i = 0; i < kKeys; ++i) {
-      reached[me].store(i + 1);
-      while (reached[1 - me].load() < i + 1) {
-      }
-      env.sl->relink_recovered(blocks[i],
-                               epoch::EpochSys::get_epoch(blocks[i]));
-    }
+  std::vector<epoch::LiveBlock> list;
+  std::vector<epoch::KVPair*> older, newer;
+  auto add = [&](epoch::KVPair* kv) {
+    list.push_back({kv, epoch::EpochSys::get_epoch(kv)});
   };
-  std::thread updater(step, 0, std::cref(newer));
-  std::thread linker(step, 1, std::cref(odd));
-  updater.join();
-  linker.join();
   for (std::uint64_t k = 0; k < 2 * kKeys; ++k) {
-    ASSERT_EQ(env.sl->find(k), k % 2 == 0 ? 2u : 3u) << "key " << k;
+    older.push_back(block(k, 1, kOld));
+    newer.push_back(block(k, 2, kOld + 1));
+    if (k % 2 == 0) {
+      add(older.back());
+      add(newer.back());
+    } else {
+      add(newer.back());
+      add(older.back());
+    }
+    add(block(2 * kKeys + k, 3, kOld));
+  }
+  env.sl->relink_recovered(list);
+  for (std::uint64_t k = 0; k < 2 * kKeys; ++k) {
+    ASSERT_EQ(env.sl->find(k), 2u) << "key " << k;
+    ASSERT_EQ(env.sl->find(2 * kKeys + k), 3u) << "key " << 2 * kKeys + k;
+    EXPECT_EQ(alloc::PAllocator::header_of(older[k])->st(),
+              alloc::BlockStatus::kFree)
+        << "older copy of key " << k << " not reclaimed";
+    EXPECT_EQ(alloc::PAllocator::header_of(newer[k])->st(),
+              alloc::BlockStatus::kAllocated)
+        << "newer copy of key " << k;
   }
 }
 

@@ -19,6 +19,9 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <set>
+#include <span>
+#include <thread>
 #include <vector>
 
 #include "alloc/pallocator.hpp"
@@ -26,6 +29,7 @@
 #include "epoch/epoch_sys.hpp"
 #include "epoch/kvpair.hpp"
 #include "hash/bd_spash.hpp"
+#include "htm/engine.hpp"
 #include "nvm/device.hpp"
 #include "skiplist/bdl_skiplist.hpp"
 #include "svc/kvstore.hpp"
@@ -348,12 +352,17 @@ Oracle build_crash_image(SvcFaultWorld& w) {
   return expect;
 }
 
-enum class Entry { kStore, kVeb, kHash, kSkiplist };
-constexpr Entry kEntries[] = {Entry::kStore, Entry::kVeb, Entry::kHash,
-                              Entry::kSkiplist};
+enum class Entry {
+  kStoreVeb, kStoreHash, kStoreSkiplist, kVeb, kHash, kSkiplist
+};
+constexpr Entry kEntries[] = {Entry::kStoreVeb, Entry::kStoreHash,
+                              Entry::kStoreSkiplist, Entry::kVeb,
+                              Entry::kHash, Entry::kSkiplist};
 const char* entry_name(Entry e) {
   switch (e) {
-    case Entry::kStore: return "KVStore";
+    case Entry::kStoreVeb: return "KVStore/phtm-veb";
+    case Entry::kStoreHash: return "KVStore/bd-spash";
+    case Entry::kStoreSkiplist: return "KVStore/bdl-skiplist";
     case Entry::kVeb: return "PHTMvEB";
     case Entry::kHash: return "BDSpash";
     case Entry::kSkiplist: return "BDLSkiplist";
@@ -378,17 +387,25 @@ Recovered recover_through(Entry entry, SvcFaultWorld& w, int threads) {
     }
   };
   const auto find = [](auto& s, std::uint64_t k) { return s.find(k); };
+  const auto store_through = [&](svc::Backend b) {
+    svc::KVStoreConfig cfg = world_cfg(b, 2);
+    cfg.start_workers = false;
+    cfg.shard_opt.veb_ubits = kImageUbits;
+    svc::KVStore store(*w.es, cfg);
+    run(store, [](svc::KVStore& s, std::uint64_t k) {
+      return s.shard(s.shard_of(k)).find(k);
+    });
+  };
   switch (entry) {
-    case Entry::kStore: {
-      svc::KVStoreConfig cfg = world_cfg(svc::Backend::kVebTree, 2);
-      cfg.start_workers = false;
-      cfg.shard_opt.veb_ubits = kImageUbits;
-      svc::KVStore store(*w.es, cfg);
-      run(store, [](svc::KVStore& s, std::uint64_t k) {
-        return s.shard(s.shard_of(k)).find(k);
-      });
+    case Entry::kStoreVeb:
+      store_through(svc::Backend::kVebTree);
       break;
-    }
+    case Entry::kStoreHash:
+      store_through(svc::Backend::kHash);
+      break;
+    case Entry::kStoreSkiplist:
+      store_through(svc::Backend::kSkiplist);
+      break;
     case Entry::kVeb: {
       veb::PHTMvEB t(*w.es, kImageUbits);
       run(t, find);
@@ -462,6 +479,76 @@ TEST(SvcRecovery, RecrashRightAfterRecoveryIsIdempotent) {
     EXPECT_EQ(second.rep.headers_persisted, 0u) << what;
     EXPECT_EQ(second.rep.blocks_quarantined, 1u) << what;  // still leaked
     EXPECT_EQ(second.rep.checksum_failures, 0u) << what;
+  }
+}
+
+// The relink runs without transactions, one thread per owner. Through
+// PHTM-vEB on 4 workers the multi-superblock image recovers without a
+// single transaction attempt. Through EpochSys::recover with more owners
+// than workers, every owner gets its whole list in one call on one
+// thread, and no thread beyond the workers runs a relink.
+TEST(SvcRecovery, RelinkRunsOnOneThreadPerOwnerWithoutTransactions) {
+  {
+    SvcFaultWorld w;
+    const Oracle expect = build_crash_image(w);
+    veb::PHTMvEB t(*w.es, kImageUbits);
+    const htm::TxStats before = htm::collect_stats();
+    t.recover(4);
+    const htm::TxStats after = htm::collect_stats();
+    EXPECT_EQ(after.commits, before.commits) << "the relink committed";
+    EXPECT_EQ(after.attempts(), before.attempts()) << "the relink aborted";
+    EXPECT_EQ(after.fallback_acquisitions, before.fallback_acquisitions);
+    Oracle got;
+    for (std::uint64_t k = 0; k < kImageKeys + kPastFrontier; ++k) {
+      if (const auto v = t.find(k)) got[k] = *v;
+    }
+    EXPECT_TRUE(got == expect)
+        << got.size() << " keys, expected " << expect.size();
+  }
+  {
+    SvcFaultWorld w;
+    const Oracle expect = build_crash_image(w);
+    constexpr int kOwners = 7;
+    constexpr int kWorkers = 4;
+    struct OwnerLog {
+      int calls = 0;
+      std::thread::id thread;
+      std::vector<epoch::KVPair*> blocks;
+    };
+    std::vector<OwnerLog> logs(kOwners);  // each entry written by its owner
+    const auto key_of = [](void* p) {
+      return static_cast<epoch::KVPair*>(p)->key;
+    };
+    const epoch::RecoveryReport rep = w.es->recover(
+        kOwners,
+        [&](void* p) { return static_cast<int>(key_of(p) % kOwners); },
+        [&](int owner, std::span<epoch::LiveBlock> blocks) {
+          OwnerLog& log = logs[static_cast<std::size_t>(owner)];
+          ++log.calls;
+          log.thread = std::this_thread::get_id();
+          for (const epoch::LiveBlock& b : blocks) {
+            log.blocks.push_back(static_cast<epoch::KVPair*>(b.payload));
+          }
+        },
+        kWorkers);
+    std::set<std::thread::id> threads;
+    std::set<std::uint64_t> keys;
+    std::uint64_t handed = 0;
+    for (int o = 0; o < kOwners; ++o) {
+      const OwnerLog& log = logs[static_cast<std::size_t>(o)];
+      EXPECT_EQ(log.calls, 1) << "owner " << o;
+      threads.insert(log.thread);
+      for (epoch::KVPair* kv : log.blocks) {
+        EXPECT_EQ(kv->key % kOwners, static_cast<std::uint64_t>(o));
+        keys.insert(kv->key);
+      }
+      handed += log.blocks.size();
+    }
+    EXPECT_LE(threads.size(), static_cast<std::size_t>(kWorkers));
+    EXPECT_EQ(handed, rep.blocks_live);
+    EXPECT_EQ(keys.size(), expect.size());
+    EXPECT_GT(rep.scan_ns, 0u);
+    EXPECT_GT(rep.relink_ns, 0u);
   }
 }
 
