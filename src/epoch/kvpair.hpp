@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "alloc/pallocator.hpp"
@@ -19,9 +20,10 @@ struct KVPair {
 };
 
 /// Allocate and initialize a KVPair in NVM with an invalid epoch (the
-/// paper's preallocation rule: the epoch is stamped inside the
-/// transaction that links the block, via set_epoch_tx). `bytes` sizes
-/// blocks larger than the pair itself (BD-Spash's value blocks).
+/// paper's preallocation rule: the operation that links the block stamps
+/// its epoch just before the linearization point, inside the transaction
+/// for the elided structures). `bytes` sizes blocks larger than the pair
+/// itself (BD-Spash's value blocks).
 inline KVPair* make_kv(EpochSys& es, std::uint64_t k, std::uint64_t v,
                        std::size_t bytes = sizeof(KVPair)) {
   auto* kv = static_cast<KVPair*>(es.pNew(bytes));
@@ -40,6 +42,39 @@ inline void reinit_kv(EpochSys& es, KVPair* kv, std::uint64_t k,
   hdr->create_epoch = kInvalidEpoch;
   es.device().mark_dirty(kv, sizeof(*kv));
   es.device().mark_dirty(&hdr->create_epoch, 8);
+}
+
+/// The create epoch stamped on a block's header, read plainly: for a
+/// block the caller reached through a structure it owns, or whose
+/// stamp can no longer change while it is reachable.
+inline std::uint64_t block_epoch(const KVPair* kv) {
+  return alloc::PAllocator::header_of(const_cast<KVPair*>(kv))->create_epoch;
+}
+
+/// Listing 1's epoch rule: how the epoch `e` of the block an operation
+/// found compares with the operation's own epoch.
+enum class EpochOrder : std::uint8_t {
+  kOlder,  // older or unstamped: replace the block out of place
+  kSame,   // stamped in this epoch: update it in place
+  kNewer,  // OldSeeNewException: restart in a fresh epoch
+};
+
+inline EpochOrder classify(std::uint64_t e, std::uint64_t op_epoch) {
+  if (e != kInvalidEpoch && e > op_epoch) return EpochOrder::kNewer;
+  return e == op_epoch ? EpochOrder::kSame : EpochOrder::kOlder;
+}
+
+/// Recovery's duplicate rule: two live blocks hold one key, so keep the
+/// newer create epoch and pDelete the other. A tie keeps `incumbent`
+/// (tied copies hold the same value: DESIGN.md §6, "Unused
+/// preallocations"). Returns the block kept.
+inline KVPair* keep_newer(EpochSys& es, KVPair* incumbent,
+                          KVPair* challenger) {
+  if (block_epoch(incumbent) < block_epoch(challenger)) {
+    std::swap(incumbent, challenger);
+  }
+  es.pDelete(challenger);
+  return incumbent;
 }
 
 /// Per-thread pool of preallocated KV blocks: Listing 1 lines 9-12 for

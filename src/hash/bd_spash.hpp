@@ -2,11 +2,12 @@
 // machines with buffered durability.
 //
 // The directory, segments and buckets live in DRAM; bucket slots point to
-// KVPair blocks in NVM managed by the epoch system. Every operation runs
-// in one hardware transaction following the paper's Listing 1 exactly
-// (epoch stamp, OldSeeNewException, out-of-place replace, post-commit
-// pRetire/pTrack). The protocol is written once, in apply_batch; the
-// single-op insert/remove/find are one-op batches (epoch::apply_one).
+// KVPair blocks in NVM managed by the epoch system. The table keeps only
+// its layout (probe, link, unlink, grow by split, and footprint);
+// epoch::SlotMap runs the paper's Listing 1 around it (epoch stamp,
+// OldSeeNewException, out-of-place replace, post-commit pRetire and
+// persist) in apply_batch, and the single-op insert/remove/find are
+// one-op batches (epoch::apply_one).
 // Puts and gets feed the hotspot detector, which decides the
 // persistence route: hot or small-cold blocks are tracked by the epoch
 // system for delayed, batched write-back; large cold blocks are
@@ -26,10 +27,10 @@
 #include <span>
 #include <vector>
 
-#include "common/threading.hpp"
 #include "epoch/batch.hpp"
 #include "epoch/epoch_sys.hpp"
 #include "epoch/kvpair.hpp"
+#include "epoch/slot_map.hpp"
 #include "hash/hotspot.hpp"
 #include "htm/engine.hpp"
 #include "htm/fallback.hpp"
@@ -66,7 +67,8 @@ class BDSpash {
   bool remove(std::uint64_t key);
   std::optional<std::uint64_t> find(std::uint64_t key);
 
-  /// Post-crash rebuild; returns the number of live pairs.
+  /// Post-crash rebuild into an empty table; returns the number of live
+  /// pairs.
   std::size_t recover(int threads = 1);
 
   /// The one operation path (DESIGN.md §10): apply ops[0..n) in one
@@ -75,15 +77,11 @@ class BDSpash {
   /// epoch::EnvelopeRestart (see epoch/batch.hpp).
   void apply_batch(epoch::BatchOp* ops, std::size_t n);
 
-  /// Reset the DRAM directory to its initial depth (sharded recovery
-  /// resets every shard, then hands each shard its scanned blocks via
-  /// relink_recovered).
-  void reset_index();
-
-  /// Link recovered blocks with plain accesses (htm::OwnerAccess);
-  /// duplicate keys keep the newer epoch, in either arrival order.
-  /// Splits internally on full buckets. The caller owns the table
-  /// outright, as PHTMvEB::relink_recovered describes.
+  /// Rebuild the table from recovered blocks (epoch::SlotMap::relink):
+  /// reset the directory to its initial depth, link the blocks with plain
+  /// accesses, split full buckets, and on duplicate keys keep the newer
+  /// epoch, in either arrival order. The caller owns the table outright,
+  /// as PHTMvEB::relink_recovered describes.
   void relink_recovered(std::span<epoch::LiveBlock> blocks);
 
   std::uint64_t nvm_bytes() const { return es_.allocator().bytes_in_use(); }
@@ -101,6 +99,8 @@ class BDSpash {
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 
  private:
+  friend class epoch::SlotMap<BDSpash>;
+
   struct Bucket {
     std::uint64_t keys[kSlotsPerBucket];
     std::uint64_t kvs[kSlotsPerBucket];  // KVPair* in NVM
@@ -109,43 +109,33 @@ class BDSpash {
     std::uint64_t local_depth;
     Bucket buckets[kBucketsPerSegment];
   };
-  struct OpCtl {
-    epoch::KVPair* retire = nullptr;
-    epoch::KVPair* persist = nullptr;
-    bool used_new = false;
-    bool result = false;
-    bool full = false;
-    bool stale = false;  // saw a newer-epoch block (OldSeeNewException)
-    std::uint64_t out_value = 0;  // get result
+
+  // The layout hooks of epoch::SlotMap. A put scans its bucket once: the
+  // probe finds the key's slot, or else the bucket's first free slot.
+  struct Probe {
+    std::uint64_t* slot;  // &bucket->kvs[at] when the key is present
+    Bucket* bucket;
+    int at;  // the key's slot, else the first free one (-1: full)
   };
-  struct ThreadCtx {
-    // Batch scratch (see PHTMvEB::ThreadCtx).
-    epoch::KVPool pool;
-    std::vector<epoch::KVPair*> blks;
-    std::vector<OpCtl> ctls;
-  };
+  template <typename Acc>
+  Probe probe(Acc& acc, std::uint64_t key);
+  template <typename Acc>
+  bool link(Acc& acc, const Probe& p, std::uint64_t key, epoch::KVPair* kv);
+  template <typename Acc>
+  void unlink(Acc& acc, const Probe& p, std::uint64_t key);
+  void grow(std::uint64_t key);
+  /// Drop every DRAM segment and retired directory, and start again at
+  /// the initial depth. Single-threaded by contract (recovery).
+  void clear();
+  /// Puts and gets feed the hotspot detector.
+  void note(const epoch::BatchOp& op);
+  void route_persist(epoch::KVPair* blk, std::uint64_t key);
 
   Segment* make_segment(std::uint64_t depth);
   void init_directory(int depth);
   void split(std::uint64_t key_hash);
   template <typename Acc>
   Bucket& locate(Acc& acc, std::uint64_t h);
-  // Accessor-generic op bodies of apply_batch, run on the transactional
-  // and the fallback path; they report OldSeeNew / full bucket via ctl
-  // instead of acc.fail() so apply_batch can attribute the failing op.
-  template <typename Acc>
-  void insert_in_tx(Acc& acc, std::uint64_t op_epoch, std::uint64_t h,
-                    std::uint64_t key, std::uint64_t value,
-                    epoch::KVPair* nb, OpCtl& ctl);
-  template <typename Acc>
-  void remove_in_tx(Acc& acc, std::uint64_t op_epoch, std::uint64_t h,
-                    std::uint64_t key, OpCtl& ctl);
-  template <typename Acc>
-  void get_in_tx(Acc& acc, std::uint64_t h, std::uint64_t key, OpCtl& ctl);
-  void finish_batch(epoch::BatchOp* ops, std::size_t m, std::size_t n);
-  void route_persist(epoch::KVPair* blk, std::uint64_t h);
-  /// One block of relink_recovered; false when its bucket is full.
-  bool link_one_recovered(epoch::KVPair* kv);
 
   epoch::EpochSys& es_;
   nvm::Device& dev_;
@@ -160,11 +150,11 @@ class BDSpash {
   std::uint64_t global_depth_;
   std::unique_ptr<std::uint64_t[]> dir_;
   alignas(8) std::uint64_t dir_ptr_;
-  std::unique_ptr<Padded<ThreadCtx>[]> tctx_;
   std::unique_ptr<std::uint64_t[]> old_dirs_[48];
   int n_old_dirs_ = 0;
   std::vector<std::unique_ptr<Segment>> segments_;  // DRAM ownership
   std::mutex segments_mu_;
+  epoch::SlotMap<BDSpash> map_;
 };
 
 }  // namespace bdhtm::hash

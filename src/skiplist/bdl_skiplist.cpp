@@ -6,14 +6,9 @@
 
 namespace bdhtm::skiplist {
 
+using epoch::EpochOrder;
 using epoch::KVPair;
 using Kind = epoch::BatchOp::Kind;
-
-namespace {
-std::uint64_t block_epoch(const KVPair* kv) {
-  return alloc::PAllocator::header_of(const_cast<KVPair*>(kv))->create_epoch;
-}
-}  // namespace
 
 BDLSkiplist::BDLSkiplist(epoch::EpochSys& es, int fallback_stripes)
     : es_(es),
@@ -48,13 +43,14 @@ bool BDLSkiplist::insert_enveloped(std::uint64_t op_epoch, std::uint64_t key,
     if (is_marked(w0)) continue;  // being removed: retry (fresh insert)
     const std::uint64_t kvw = ops.read(&existing->value);
     auto* kv = reinterpret_cast<KVPair*>(kvw);
-    const std::uint64_t e = block_epoch(kv);  // stable while reachable
-    if (e != alloc::kInvalidEpoch && e > op_epoch) {
+    // The stamp is stable while the block is reachable.
+    const EpochOrder order = epoch::classify(epoch::block_epoch(kv), op_epoch);
+    if (order == EpochOrder::kNewer) {
       *restart = true;  // OldSeeNewException
       pool.give_back(es_, nb);
       return false;
     }
-    if (e == op_epoch) {
+    if (order == EpochOrder::kSame) {
       // Same epoch: in-place value update (pin link + block identity).
       const std::uint64_t oldv =
           ops.read(reinterpret_cast<DramOps::Word*>(&kv->value));
@@ -93,8 +89,8 @@ bool BDLSkiplist::remove_enveloped(std::uint64_t op_epoch, std::uint64_t key,
     if (is_marked(w0)) return false;  // another remover got it
     const std::uint64_t kvw = ops.read(&n->value);
     auto* kv = reinterpret_cast<KVPair*>(kvw);
-    const std::uint64_t e = block_epoch(kv);
-    if (e != alloc::kInvalidEpoch && e > op_epoch) {
+    if (epoch::classify(epoch::block_epoch(kv), op_epoch) ==
+        EpochOrder::kNewer) {
       *restart = true;
       return false;
     }
@@ -179,10 +175,6 @@ std::optional<std::pair<std::uint64_t, std::uint64_t>> BDLSkiplist::successor(
   return out;
 }
 
-void BDLSkiplist::reset_index() {
-  base_ = std::make_unique<Base>(DramOps{mw_});
-}
-
 htm::FallbackPolicy& BDLSkiplist::fallback_policy() {
   return mw_.fallback_policy();
 }
@@ -197,6 +189,7 @@ htm::StripeMask BDLSkiplist::footprint(std::uint64_t key) const {
 }
 
 void BDLSkiplist::relink_recovered(std::span<epoch::LiveBlock> blocks) {
+  base_ = std::make_unique<Base>(DramOps{mw_});  // an empty list
   struct Keyed {
     std::uint64_t key;
     KVPair* kv;
@@ -211,13 +204,10 @@ void BDLSkiplist::relink_recovered(std::span<epoch::LiveBlock> blocks) {
             [](const Keyed& a, const Keyed& b) { return a.key < b.key; });
   Base::Appender app(*base_);
   for (std::size_t i = 0; i < sorted.size();) {
-    // Duplicate key: keep the newer block (ties are value-identical).
     KVPair* keep = sorted[i].kv;
     std::size_t j = i + 1;
     for (; j < sorted.size() && sorted[j].key == sorted[i].key; ++j) {
-      KVPair* other = sorted[j].kv;
-      if (block_epoch(other) > block_epoch(keep)) std::swap(keep, other);
-      es_.pDelete(other);
+      keep = epoch::keep_newer(es_, keep, sorted[j].kv);
     }
     app.append(sorted[i].key, reinterpret_cast<std::uint64_t>(keep));
     i = j;
@@ -225,7 +215,6 @@ void BDLSkiplist::relink_recovered(std::span<epoch::LiveBlock> blocks) {
 }
 
 std::size_t BDLSkiplist::recover(int threads) {
-  reset_index();
   return epoch::recover_into(es_, *this, threads);
 }
 

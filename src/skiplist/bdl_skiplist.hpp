@@ -61,14 +61,11 @@ class BDLSkiplist {
   /// epoch::EnvelopeRestart (see epoch/batch.hpp).
   void apply_batch(epoch::BatchOp* ops, std::size_t n);
 
-  /// Drop the DRAM towers (sharded recovery support).
-  void reset_index();
-
-  /// Build the towers of an empty (fresh or reset) list from recovered
-  /// blocks: sort them by key, keep the newest epoch of each key and
-  /// pDelete the other copies, whatever their order in `blocks`, then
-  /// append the winners in order with plain stores. The caller owns the
-  /// list outright, as PHTMvEB::relink_recovered describes.
+  /// Rebuild the towers from recovered blocks: drop them, sort the
+  /// blocks by key, keep the newest epoch of each key and pDelete the
+  /// other copies (epoch::keep_newer), whatever their order in `blocks`,
+  /// then append the winners in order with plain stores. The caller owns
+  /// the list outright, as PHTMvEB::relink_recovered describes.
   void relink_recovered(std::span<epoch::LiveBlock> blocks);
 
   std::uint64_t nvm_bytes() const { return es_.allocator().bytes_in_use(); }

@@ -424,7 +424,6 @@ void KVStore::close() {
 }
 
 std::size_t KVStore::recover(int threads) {
-  for (auto& s : shards_) s->reset_index();
   return es_
       .recover(
           shards(),

@@ -183,10 +183,11 @@ class KVStore {
   void close();
   bool closed() const { return closed_.load(std::memory_order_acquire); }
 
-  /// Sharded post-crash rebuild: reset every shard, then ONE heap scan on
-  /// `threads` workers that files each live block under its shard, and a
-  /// relink in which the same workers take whole shards, one thread per
-  /// shard. Call before any submission. Returns the live block count.
+  /// Sharded post-crash rebuild: ONE heap scan on `threads` workers that
+  /// files each live block under its shard, and a relink in which the
+  /// same workers take whole shards, one thread per shard; each shard
+  /// rebuilds from an empty index. Call before any submission. Returns
+  /// the live block count.
   std::size_t recover(int threads = 1);
 
   int shards() const { return static_cast<int>(shards_.size()); }

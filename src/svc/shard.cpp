@@ -48,7 +48,6 @@ class Shard final : public ShardIndex {
   void apply_batch(epoch::BatchOp* ops, std::size_t n) override {
     t_.apply_batch(ops, n);
   }
-  void reset_index() override { t_.reset_index(); }
   void relink_recovered(std::span<epoch::LiveBlock> blocks) override {
     t_.relink_recovered(blocks);
   }

@@ -58,10 +58,9 @@ class ShardIndex {
   virtual htm::FallbackPolicy& fallback_policy() = 0;
   virtual htm::StripeMask footprint(std::uint64_t key) const = 0;
 
-  // Sharded recovery: the store resets every shard, runs ONE heap scan
-  // with a shard as the owner of its keys' blocks, and hands each shard
-  // its whole list on one thread (EpochSys::recover).
-  virtual void reset_index() = 0;
+  // Sharded recovery: the store runs ONE heap scan with a shard as the
+  // owner of its keys' blocks, and hands each shard its whole list on
+  // one thread (EpochSys::recover); the shard rebuilds from empty.
   virtual void relink_recovered(std::span<epoch::LiveBlock> blocks) = 0;
 };
 

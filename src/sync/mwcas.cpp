@@ -16,17 +16,23 @@ std::uint64_t tagged(MwCAS::Descriptor* d) {
   return reinterpret_cast<std::uint64_t>(d) | kDescTag;
 }
 
-// Per-thread descriptor pools; recycled through EBR.
+// Per-thread descriptor pools, recycled through EBR. A pool owns the
+// descriptors on its free list and frees them when its thread exits.
 struct DescPool {
   std::vector<MwCAS::Descriptor*> free_list;
+  ~DescPool() {
+    for (MwCAS::Descriptor* d : free_list) delete d;
+  }
 };
 thread_local DescPool t_pool;
 
 }  // namespace
 
 EbrDomain& mwcas_ebr() {
-  static EbrDomain domain;
-  return domain;
+  // Never destroyed, so the descriptors its limbo lists still hold at
+  // exit stay reachable: a thread's pool frees only its free list.
+  static EbrDomain* const domain = new EbrDomain;
+  return *domain;
 }
 
 MwCAS::Descriptor* MwCAS::acquire_descriptor() {

@@ -14,7 +14,15 @@ std::uint64_t tagged(RdcssDesc* r) {
   return reinterpret_cast<std::uint64_t>(r) | kRdcssTag;
 }
 
-thread_local std::vector<RdcssDesc*> t_rdcss_pool;
+// Per-thread descriptor pool, recycled through EBR. It owns the
+// descriptors on its free list and frees them when its thread exits.
+struct RdcssPool {
+  std::vector<RdcssDesc*> free_list;
+  ~RdcssPool() {
+    for (RdcssDesc* r : free_list) delete r;
+  }
+};
+thread_local RdcssPool t_rdcss_pool;
 
 void complete(RdcssDesc* r) {
   const std::uint64_t s =
@@ -28,9 +36,10 @@ void complete(RdcssDesc* r) {
 }  // namespace
 
 RdcssDesc* rdcss_acquire() {
-  if (!t_rdcss_pool.empty()) {
-    RdcssDesc* r = t_rdcss_pool.back();
-    t_rdcss_pool.pop_back();
+  std::vector<RdcssDesc*>& free_list = t_rdcss_pool.free_list;
+  if (!free_list.empty()) {
+    RdcssDesc* r = free_list.back();
+    free_list.pop_back();
     return r;
   }
   return new RdcssDesc();
@@ -39,12 +48,14 @@ RdcssDesc* rdcss_acquire() {
 void rdcss_retire(RdcssDesc* r) {
   mwcas_ebr().retire(
       r, [](void* p, void*) {
-        t_rdcss_pool.push_back(static_cast<RdcssDesc*>(p));
+        t_rdcss_pool.free_list.push_back(static_cast<RdcssDesc*>(p));
       },
       nullptr);
 }
 
-void rdcss_release_unused(RdcssDesc* r) { t_rdcss_pool.push_back(r); }
+void rdcss_release_unused(RdcssDesc* r) {
+  t_rdcss_pool.free_list.push_back(r);
+}
 
 void rdcss_complete(std::uint64_t tagged_ptr) {
   complete(desc_of(tagged_ptr));

@@ -1,19 +1,10 @@
 // PHTM-vEB (paper §4.1): the buffered-durable port of HTM-vEB.
 //
 // The doubly-logarithmic index lives in DRAM; leaf/min slots hold
-// pointers to KVPair blocks in NVM managed by the epoch system. Every
-// operation follows the Listing 1 strategy, written once in apply_batch;
-// single-op insert/remove/find are one-op batches (epoch::apply_one):
-//   - the envelope registers with beginOp(); each put takes a block from
-//     the thread's preallocation pool outside the transaction;
-//   - inside the transaction: stamp the preallocated block with the
-//     operation's epoch, then check the target block's epoch —
-//       newer epoch  -> abort with OldSeeNewException; the envelope
-//                       restarts in a fresh epoch (EnvelopeRestart);
-//       older epoch  -> replace the block out-of-place (retire the old);
-//       same epoch   -> update the value in place;
-//   - after commit: pRetire()/pTrack() the affected blocks, return
-//     unused preallocations to the pool, endOp().
+// pointers to KVPair blocks in NVM managed by the epoch system. The tree
+// keeps only its layout (probe, link, unlink, clear and footprint over
+// VebCore); epoch::SlotMap runs Listing 1 around it, in apply_batch, and
+// single-op insert/remove/find are one-op batches (epoch::apply_one).
 // No persist instruction ever executes inside a transaction. After a
 // (simulated) MEMTYPE abort, the ops' keys are walked non-transactionally
 // before the retry (the paper's Fig. 2 mitigation).
@@ -24,15 +15,14 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
-#include <vector>
 
-#include "common/defs.hpp"
-#include "common/threading.hpp"
 #include "epoch/batch.hpp"
 #include "epoch/epoch_sys.hpp"
 #include "epoch/kvpair.hpp"
+#include "epoch/slot_map.hpp"
 #include "htm/engine.hpp"
 #include "htm/fallback.hpp"
 #include "veb/veb_core.hpp"
@@ -58,9 +48,9 @@ class PHTMvEB {
   std::optional<std::pair<std::uint64_t, std::uint64_t>> successor(
       std::uint64_t key);
 
-  /// Post-crash rebuild: resets the DRAM index, runs the epoch-system
-  /// recovery scan on `threads` workers, and relinks the live KV blocks
-  /// (the tree is one owner). Returns the number of live pairs.
+  /// Post-crash rebuild: runs the epoch-system recovery scan on
+  /// `threads` workers and relinks the live KV blocks into an empty
+  /// index (the tree is one owner). Returns the number of live pairs.
   std::size_t recover(int threads = 1);
 
   /// The one operation path (DESIGN.md §10): apply ops[0..n) under the
@@ -70,14 +60,9 @@ class PHTMvEB {
   /// block (see epoch/batch.hpp for the restart contract).
   void apply_batch(epoch::BatchOp* ops, std::size_t n);
 
-  /// Drop the DRAM index (sharded recovery resets every shard, scans the
-  /// shared heap once, and hands each shard its blocks via
-  /// relink_recovered).
-  void reset_index();
-
-  /// Link recovered blocks into the index with plain accesses
-  /// (htm::OwnerAccess); on duplicate keys the newer-epoch block wins and
-  /// the loser is reclaimed, in either arrival order. The caller owns the
+  /// Rebuild the index from recovered blocks (epoch::SlotMap::relink):
+  /// drop it, link the blocks with plain accesses, and on duplicate keys
+  /// keep the newer epoch, in either arrival order. The caller owns the
   /// tree outright: nothing else touches it until the call returns, and
   /// a happens-before edge (recovery's join) orders the call before any
   /// later operation.
@@ -97,43 +82,35 @@ class PHTMvEB {
   htm::StripeMask footprint(std::uint64_t key) const;
 
  private:
-  struct OpCtl {
-    epoch::KVPair* retire = nullptr;
-    epoch::KVPair* persist = nullptr;
-    bool used_new = false;
-    bool result = false;
-    bool stale = false;  // saw a newer-epoch block (OldSeeNewException)
-    std::uint64_t out_value = 0;  // get result
-  };
-  struct ThreadCtx {
-    // Batch scratch: preallocation pool plus per-op block/ctl arrays,
-    // reused across apply_batch calls (no steady-state allocation).
-    epoch::KVPool pool;
-    std::vector<epoch::KVPair*> blks;
-    std::vector<OpCtl> ctls;
-  };
+  friend class epoch::SlotMap<PHTMvEB>;
 
-  // Accessor-generic op bodies of apply_batch, run on the transactional
-  // and the fallback path. They report OldSeeNew via ctl.stale instead
-  // of acc.fail() so apply_batch can attribute the failing op.
+  // The layout hooks of epoch::SlotMap. A slot is a leaf or min word of
+  // VebCore, which has a place for every key of its universe, so link
+  // never runs out of room.
+  struct Probe {
+    std::uint64_t* slot;
+  };
   template <typename Acc>
-  void insert_in_tx(Acc& acc, std::uint64_t op_epoch, std::uint64_t key,
-                    std::uint64_t value, epoch::KVPair* nb, OpCtl& ctl);
+  Probe probe(Acc& acc, std::uint64_t key) {
+    return {core_->slot_addr(acc, key)};
+  }
   template <typename Acc>
-  void remove_in_tx(Acc& acc, std::uint64_t op_epoch, std::uint64_t key,
-                    OpCtl& ctl);
+  bool link(Acc& acc, const Probe&, std::uint64_t key, epoch::KVPair* kv) {
+    core_->insert_new(acc, key, reinterpret_cast<std::uint64_t>(kv));
+    return true;
+  }
   template <typename Acc>
-  void get_in_tx(Acc& acc, std::uint64_t key, OpCtl& ctl);
-  /// Post-commit epilogue for batch ops [0, m): consume or recycle
-  /// preallocations, pRetire/pTrack, publish results; ops [m, n) only
-  /// recycle their preallocations (the restart path re-preps them).
-  void finish_batch(epoch::BatchOp* ops, std::size_t m, std::size_t n);
+  void unlink(Acc& acc, const Probe&, std::uint64_t key) {
+    core_->remove_existing(acc, key);
+  }
+  void grow(std::uint64_t) {}  // never called: link always succeeds
+  void clear() { core_ = std::make_unique<VebCore>(core_->ubits()); }
 
   epoch::EpochSys& es_;
   nvm::Device& dev_;
   std::unique_ptr<VebCore> core_;
   htm::FallbackPolicy policy_;
-  std::unique_ptr<Padded<ThreadCtx>[]> tctx_;
+  epoch::SlotMap<PHTMvEB> map_;
 };
 
 }  // namespace bdhtm::veb

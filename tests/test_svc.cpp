@@ -17,6 +17,7 @@
 #include "common/rng.hpp"
 #include "epoch/batch.hpp"
 #include "epoch/epoch_sys.hpp"
+#include "htm/engine.hpp"
 #include "nvm/device.hpp"
 #include "svc/kvstore.hpp"
 #include "svc/queue.hpp"
@@ -242,59 +243,99 @@ TEST(Svc, BatchMatchesSequentialOracleAllBackends) {
   }
 }
 
+struct StaleBatchRun {
+  std::vector<std::size_t> starts;  // first op of each apply_batch call
+  std::vector<epoch::BatchOp> ops;  // with their results
+};
+
+// Deterministic OldSeeNew: T1 pins an envelope at epoch e, the epoch
+// advances, the main thread overwrites key 5 at e+1, then T1 applies
+// `ops`, one of which puts key 5, under its stale envelope. The
+// structure must throw EnvelopeRestart and run_envelope must re-apply
+// the ops not yet applied under a fresh epoch. Keys 5 and 7 exist
+// beforehand; t1's put of key 5 must be the last write.
+StaleBatchRun run_stale_batch(svc::Backend b,
+                              std::vector<epoch::BatchOp> ops) {
+  SvcWorld w(/*manual_epochs=*/true);
+  svc::KVStoreConfig cfg = small_cfg(b);
+  cfg.start_workers = false;  // direct shard access only
+  svc::KVStore store(*w.es, cfg);
+  auto& shard = store.shard(0);
+  EXPECT_TRUE(shard.insert(5, 50));
+  EXPECT_TRUE(shard.insert(7, 70));
+
+  const std::uint64_t e0 = w.es->current_epoch();
+  std::atomic<int> phase{0};
+  StaleBatchRun run;
+  std::thread t1([&] {
+    epoch::run_envelope(
+        *w.es, ops.size(), [&](std::size_t first, std::size_t n) {
+          run.starts.push_back(first);
+          if (run.starts.size() == 1) {
+            // Pinned at the pre-advance epoch; park here while the main
+            // thread advances and overwrites key 5 at the newer epoch.
+            EXPECT_EQ(w.es->current_op_epoch(), e0);
+            phase.store(1, std::memory_order_release);
+            while (phase.load(std::memory_order_acquire) != 2) {
+              std::this_thread::yield();
+            }
+          }
+          shard.apply_batch(ops.data() + first, n);
+        });
+  });
+  while (phase.load(std::memory_order_acquire) != 1) {
+    std::this_thread::yield();
+  }
+  // One advance only: a second would block in step 1 waiting out t1's
+  // open envelope in e0. Current becomes e0+1; the overwrite stamps it.
+  w.es->advance();
+  EXPECT_FALSE(shard.insert(5, 51));  // overwrite at the newer epoch
+  phase.store(2, std::memory_order_release);
+  t1.join();
+
+  EXPECT_EQ(shard.find(5), std::optional<std::uint64_t>{55})
+      << "t1's put is the last write";
+  store.close();
+  run.ops = std::move(ops);
+  return run;
+}
+
 TEST(Svc, EnvelopeRestartRetriesStaleBatch) {
-  // Deterministic OldSeeNew: T1 pins an envelope at epoch e, the epoch
-  // advances, T2 stamps a block at e+1, then T1's batch touches that
-  // block. The structure must throw EnvelopeRestart and run_envelope
-  // must re-apply under a fresh epoch — observable as a second call of
-  // the apply callback and a correct final value. apply_batch is each
-  // backend's only op path, so this pins the restart for all of them.
+  using Kind = epoch::BatchOp::Kind;
+  // apply_batch is each backend's only op path, so this pins the restart
+  // for all of them.
   for (svc::Backend b : kAllBackends) {
     SCOPED_TRACE(svc::backend_name(b));
-    SvcWorld w(/*manual_epochs=*/true);
-    svc::KVStoreConfig cfg = small_cfg(b);
-    cfg.start_workers = false;  // direct shard access only
-    svc::KVStore store(*w.es, cfg);
-    auto& shard = store.shard(0);
-    ASSERT_TRUE(shard.insert(5, 50));
+    // One op: the restart is Listing 1's abortOp + beginOp.
+    const StaleBatchRun one = run_stale_batch(b, {{Kind::kPut, 5, 55}});
+    EXPECT_GE(one.starts.size(), 2u)
+        << "stale envelope must restart at least once";
 
-    const std::uint64_t e0 = w.es->current_epoch();
-    std::atomic<int> phase{0};
-    int t1_applies = 0;
-    epoch::BatchOp op;
-    op.kind = epoch::BatchOp::Kind::kPut;
-    op.key = 5;
-    op.value = 55;
-    std::thread t1([&] {
-      epoch::run_envelope(*w.es, 1, [&](std::size_t first, std::size_t n) {
-        ++t1_applies;
-        if (t1_applies == 1) {
-          // Pinned at the pre-advance epoch; park here while the main
-          // thread advances and overwrites the key at the newer epoch.
-          EXPECT_EQ(w.es->current_op_epoch(), e0);
-          phase.store(1, std::memory_order_release);
-          while (phase.load(std::memory_order_acquire) != 2) {
-            std::this_thread::yield();
-          }
-        }
-        shard.apply_batch(&op + first, n);
-      });
-    });
-    while (phase.load(std::memory_order_acquire) != 1) {
-      std::this_thread::yield();
+    // Four ops, the stale put third. An HTM abort rolls the whole batch
+    // back; under forced fallback the first two ops apply irrevocably,
+    // and the restart must start after them: a re-run prefix would
+    // report the remove as absent and the new key as present.
+    const std::vector<epoch::BatchOp> batch = {{Kind::kRemove, 7},
+                                               {Kind::kPut, 9, 90},
+                                               {Kind::kPut, 5, 55},
+                                               {Kind::kGet, 7}};
+    const StaleBatchRun on_htm = run_stale_batch(b, batch);
+    htm::EngineConfig forced;
+    forced.spurious_abort_prob = 1.0;  // every transaction falls back
+    htm::configure(forced);
+    const StaleBatchRun on_fallback = run_stale_batch(b, batch);
+    htm::configure(htm::EngineConfig{});
+
+    const bool want_ok[] = {true, true, false, false};
+    for (const StaleBatchRun* run : {&on_htm, &on_fallback}) {
+      ASSERT_EQ(run->ops.size(), batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(run->ops[i].ok, want_ok[i]) << "op " << i;
+        EXPECT_EQ(run->ops[i].out_value, on_htm.ops[i].out_value)
+            << "op " << i;
+      }
     }
-    // One advance only: a second would block in step 1 waiting out t1's
-    // open envelope in e0. Current becomes e0+1; the overwrite stamps it.
-    w.es->advance();
-    ASSERT_FALSE(shard.insert(5, 51));  // overwrite at the newer epoch
-    phase.store(2, std::memory_order_release);
-    t1.join();
-
-    EXPECT_GE(t1_applies, 2) << "stale envelope must restart at least once";
-    auto got = shard.find(5);
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, 55u) << "t1's put is the last write";
-    store.close();
+    EXPECT_EQ(on_fallback.starts, (std::vector<std::size_t>{0, 2}));
   }
 }
 
