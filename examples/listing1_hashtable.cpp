@@ -18,6 +18,7 @@
 #include "epoch/epoch_sys.hpp"
 #include "common/rng.hpp"
 #include "epoch/kvpair.hpp"
+#include "htm/access.hpp"
 #include "htm/engine.hpp"
 #include "htm/fallback.hpp"
 #include "nvm/device.hpp"
@@ -39,6 +40,7 @@ struct SimpleTable {
 
 epoch::EpochSys* esys;
 htm::FallbackPolicy global_lock;  // one stripe: the paper's global lock
+thread_local epoch::KVPool pool;  // preallocated blocks (lines 9-12)
 thread_local KVPair* new_blk;
 thread_local KVPair* retire_blk;
 thread_local KVPair* persist_blk;
@@ -47,19 +49,16 @@ void insert(SimpleTable* table, std::uint64_t k, std::uint64_t v) {
   const auto bucket = splitmix64(k) % kBuckets;
 retry_regist:
   const std::uint64_t op_epoch = esys->beginOp();          // line 8
-  if (new_blk == nullptr) {                                // lines 9-10
-    new_blk = epoch::make_kv(*esys, k, v);
-  } else {
-    epoch::reinit_kv(*esys, new_blk, k, v);                // line 12
-  }
+  new_blk = pool.take(*esys, sizeof(KVPair), k, v);        // lines 9-12
   retire_blk = persist_blk = nullptr;
 
   int attempts = 0;
 retry_txn:
   const unsigned status = htm::run([&](htm::Txn& tx) {     // line 14
     global_lock.subscribe(tx, global_lock.all());          // line 16
-    epoch::EpochSys::set_epoch_tx(tx, esys->device(), new_blk,
-                                  op_epoch);               // line 17
+    htm::TxAccess acc{tx};
+    epoch::EpochSys::set_epoch_generic(acc, esys->device(), new_blk,
+                                       op_epoch);          // line 17
     KVPair* found = nullptr;
     int free_slot = -1;
     for (int i = 0; i < kBucketSize; ++i) {                // line 19
@@ -72,7 +71,7 @@ retry_txn:
       }
       if (found != nullptr) {
         const std::uint64_t e =
-            epoch::EpochSys::get_epoch_tx(tx, found);      // line 21
+            epoch::EpochSys::get_epoch_generic(acc, found);  // line 21
         if (e > op_epoch) {
           tx.abort(htm::kOldSeeNewCode);                   // line 23
         } else if (e < op_epoch) {                         // lines 24-28
@@ -97,6 +96,7 @@ retry_txn:
   if (status != htm::kCommitted) {                         // lines 38-49
     if ((status & htm::kAbortExplicit) &&
         htm::explicit_code(status) == htm::kOldSeeNewCode) {
+      pool.give_back(*esys, new_blk);
       esys->abortOp();                                     // line 40
       goto retry_regist;                                   // line 41
     }
@@ -111,8 +111,9 @@ retry_txn:
     goto retry_txn;
   }
 
-  // op_done (lines 50-55)
-  if (persist_blk == new_blk) new_blk = nullptr;
+  // op_done (lines 50-55). An unlinked new_blk goes back to the pool,
+  // which resets its stamp (the §5 rule).
+  if (persist_blk != new_blk) pool.give_back(*esys, new_blk);
   if (retire_blk != nullptr) esys->pRetire(retire_blk);    // line 51
   if (persist_blk != nullptr) esys->pTrack(persist_blk);   // line 52
   retire_blk = nullptr;                                    // line 53

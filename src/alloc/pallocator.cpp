@@ -1,6 +1,9 @@
 #include "alloc/pallocator.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "common/checked.hpp"
@@ -9,12 +12,15 @@
 namespace bdhtm::alloc {
 namespace {
 
-// Strides (header + payload), cache-line multiples: 64 B .. 64 KiB.
+// Strides (header + payload): 32 B (two blocks per cache line), then
+// cache-line multiples 64 B .. 64 KiB.
 constexpr std::size_t kStrides[PAllocator::kNumClasses] = {
-    64,   128,  256,   512,   1024,  2048,
-    4096, 8192, 16384, 32768, 65536};
+    32,   64,   128,  256,   512,   1024,
+    2048, 4096, 8192, 16384, 32768, 65536};
+static_assert(PAllocator::kNumClasses < 16, "size class is a 4-bit field");
 
-// Blocks handed from a class free list to a thread cache per refill.
+// Blocks handed from a class free list to a thread cache per refill. Even,
+// so the line-mates of an address-ordered list move together.
 constexpr std::size_t kCacheRefill = 32;
 // Thread-cache high-water mark before spilling back to the class list.
 constexpr std::size_t kCacheSpill = 128;
@@ -69,17 +75,19 @@ std::uint64_t PAllocator::carve_superblocks(std::size_t count) {
   return idx;
 }
 
-std::uint64_t PAllocator::take_from_class(std::size_t cls) {
+void PAllocator::refill(std::size_t cls, std::vector<std::uint64_t>& cache) {
   ClassState& cs = classes_[cls];
   std::scoped_lock lk(cs.mu);
   if (!cs.free_offsets.empty()) {
-    const std::uint64_t off = cs.free_offsets.back();
-    cs.free_offsets.pop_back();
-    return off;
+    const std::size_t n = std::min(kCacheRefill, cs.free_offsets.size());
+    cache.insert(cache.end(), cs.free_offsets.end() - n, cs.free_offsets.end());
+    cs.free_offsets.resize(cs.free_offsets.size() - n);
+    return;
   }
   const std::size_t stride = kStrides[cls];
+  const std::size_t run = std::max(stride, kCacheLineSize);
   if (cs.bump_sb == ~std::uint64_t{0} ||
-      cs.bump_next + stride > sb_offset(cs.bump_sb) + kSuperblockSize) {
+      cs.bump_next + run > sb_offset(cs.bump_sb) + kSuperblockSize) {
     const std::uint64_t sb = carve_superblocks(1);
     auto* hdr = reinterpret_cast<SuperblockHeader*>(at(sb_offset(sb)));
     hdr->magic = kSbMagic;
@@ -93,26 +101,60 @@ std::uint64_t PAllocator::take_from_class(std::size_t cls) {
     cs.bump_sb = sb;
     cs.bump_next = sb_offset(sb) + kCacheLineSize;
   }
-  const std::uint64_t payload_off = cs.bump_next + sizeof(BlockHeader);
-  cs.bump_next += stride;
-  return payload_off;
+  // Every block of the line goes to this thread, the first on top. A
+  // fresh block's word 0 is a zero page: give it kInvalidEpoch, as every
+  // free block holds (the file comment says why).
+  const std::uint64_t first = cs.bump_next;
+  cs.bump_next += run;
+  for (std::uint64_t off = first + run; off > first;) {
+    off -= stride;
+    reinterpret_cast<BlockHeader*>(at(off))->create_epoch = kInvalidEpoch;
+    cache.push_back(off + sizeof(BlockHeader));
+  }
+}
+
+void PAllocator::write_meta(BlockHeader* hdr, BlockStatus status,
+                            std::size_t cls, std::uint64_t delete_epoch) {
+  if (delete_epoch != kInvalidEpoch &&
+      delete_epoch >= BlockHeader::kNoDelete) {
+    std::fprintf(stderr,
+                 "bdhtm: delete epoch %llu overflows the header's %u-bit "
+                 "field\n",
+                 static_cast<unsigned long long>(delete_epoch),
+                 BlockHeader::kDeleteBits);
+    std::abort();
+  }
+  const std::uint64_t d =
+      delete_epoch == kInvalidEpoch ? BlockHeader::kNoDelete : delete_epoch;
+  const std::uint64_t fields = static_cast<std::uint64_t>(status) |
+                               std::uint64_t{cls} << BlockHeader::kClassShift |
+                               d << BlockHeader::kDeleteShift;
+  const auto block_off = static_cast<std::uint64_t>(
+      reinterpret_cast<std::byte*>(hdr) - dev_.base());
+  hdr->meta = fields | header_tag(fields, block_off) << BlockHeader::kTagShift;
+  dev_.mark_dirty(&hdr->meta, sizeof(hdr->meta));
+}
+
+void PAllocator::mark_free(BlockHeader* hdr) {
+  hdr->create_epoch = kInvalidEpoch;
+  dev_.mark_dirty(&hdr->create_epoch, sizeof(hdr->create_epoch));
+  write_meta(hdr, BlockStatus::kFree, hdr->size_class(), kInvalidEpoch);
+}
+
+std::size_t PAllocator::block_bytes(const BlockHeader* hdr) const {
+  const std::size_t cls = hdr->size_class();
+  if (cls < kNumClasses) return kStrides[cls];
+  return sizeof(BlockHeader) + superblock_of(hdr)->user_size;
 }
 
 void* PAllocator::init_block(std::uint64_t payload_off, std::size_t cls,
-                             std::size_t user_size) {
+                             std::size_t bytes) {
   void* payload = at(payload_off);
   BlockHeader* hdr = header_of(payload);
-  hdr->status = static_cast<std::uint32_t>(BlockStatus::kAllocated);
-  hdr->size_class = static_cast<std::uint32_t>(cls);
   hdr->create_epoch = kInvalidEpoch;
-  hdr->delete_epoch = kInvalidEpoch;
-  hdr->user_size = user_size;
-  hdr->integrity = header_tag(hdr->size_class, hdr->user_size,
-                              payload_off - sizeof(BlockHeader));
-  dev_.mark_dirty(hdr, sizeof(*hdr));
-  const std::size_t stride =
-      cls < kNumClasses ? kStrides[cls] : user_size + sizeof(BlockHeader);
-  bytes_in_use_.fetch_add(stride, std::memory_order_relaxed);
+  dev_.mark_dirty(&hdr->create_epoch, sizeof(hdr->create_epoch));
+  write_meta(hdr, BlockStatus::kAllocated, cls, kInvalidEpoch);
+  bytes_in_use_.fetch_add(bytes, std::memory_order_relaxed);
   return payload;
 }
 
@@ -127,20 +169,10 @@ void* PAllocator::alloc(std::size_t user_size) {
   if (cls >= kNumClasses) return alloc_large(user_size);
 
   auto& cache = tcaches_[thread_id()].value.free_offsets[cls];
-  if (cache.empty()) {
-    // Refill: one block now plus a batch for subsequent allocations.
-    for (std::size_t i = 0; i < kCacheRefill - 1; ++i) {
-      ClassState& cs = classes_[cls];
-      std::scoped_lock lk(cs.mu);
-      if (cs.free_offsets.empty()) break;
-      cache.push_back(cs.free_offsets.back());
-      cs.free_offsets.pop_back();
-    }
-    if (cache.empty()) return init_block(take_from_class(cls), cls, user_size);
-  }
+  if (cache.empty()) refill(cls, cache);
   const std::uint64_t off = cache.back();
   cache.pop_back();
-  return init_block(off, cls, user_size);
+  return init_block(off, cls, kStrides[cls]);
 }
 
 void* PAllocator::alloc_large(std::size_t user_size) {
@@ -167,15 +199,14 @@ void* PAllocator::alloc_large(std::size_t user_size) {
   dev_.mark_dirty(shdr, sizeof(*shdr));
   dev_.persist_nontxn(shdr, sizeof(*shdr));
   return init_block(sb_offset(sb) + kCacheLineSize + sizeof(BlockHeader),
-                    kNumClasses, user_size);
+                    kNumClasses, sizeof(BlockHeader) + user_size);
 }
 
 void PAllocator::free(void* payload) {
   BlockHeader* hdr = header_of(payload);
   assert(hdr->st() != BlockStatus::kFree && "double free");
-  const std::size_t cls = hdr->size_class;
-  hdr->status = static_cast<std::uint32_t>(BlockStatus::kFree);
-  dev_.mark_dirty(hdr, sizeof(*hdr));
+  const std::size_t cls = hdr->size_class();
+  mark_free(hdr);
 
   if (cls >= kNumClasses) {
     const std::uint64_t block_off =
@@ -184,7 +215,7 @@ void PAllocator::free(void* payload) {
     const std::uint64_t sb =
         (block_off - kCacheLineSize - kHeaderReserve) / kSuperblockSize;
     auto* shdr = reinterpret_cast<SuperblockHeader*>(at(sb_offset(sb)));
-    bytes_in_use_.fetch_sub(hdr->user_size + sizeof(BlockHeader),
+    bytes_in_use_.fetch_sub(shdr->user_size + sizeof(BlockHeader),
                             std::memory_order_relaxed);
     std::scoped_lock lk(large_mu_);
     large_free_.emplace_back(sb, shdr->span);
@@ -212,45 +243,24 @@ bool PAllocator::validate_header(const BlockHeader* hdr) const {
       reinterpret_cast<const std::byte*>(hdr) - dev_.base());
   const std::uint64_t sb_index =
       (block_off - kHeaderReserve) / kSuperblockSize;
-  const auto* sb = reinterpret_cast<const SuperblockHeader*>(
-      dev_.base() + sb_offset(sb_index));
+  const auto* sb = superblock_of(hdr);
   // The scan only reaches blocks through a validated superblock header,
   // but re-derive the bound so validate_header is safe standalone.
   if (sb->magic != kSbMagic || superblock_span(sb, sb_index) == 0) {
     return false;
   }
-  if (hdr->size_class != sb->size_class) return false;
-  if (hdr->status >
-      static_cast<std::uint32_t>(BlockStatus::kQuarantined)) {
-    return false;
-  }
-  const std::uint64_t payload_cap =
-      sb->size_class < kNumClasses
-          ? kStrides[sb->size_class] - sizeof(BlockHeader)
-          : sb->span * kSuperblockSize - kCacheLineSize - sizeof(BlockHeader);
-  if (hdr->user_size > payload_cap) return false;
-  return hdr->integrity ==
-         header_tag(hdr->size_class, hdr->user_size, block_off);
+  if (hdr->size_class() != sb->size_class) return false;
+  return hdr->tag() == header_tag(hdr->meta, block_off);
 }
 
 void PAllocator::quarantine_block(BlockHeader* hdr) {
-  const auto block_off = static_cast<std::uint64_t>(
-      reinterpret_cast<std::byte*>(hdr) - dev_.base());
-  const std::uint64_t sb_index =
-      (block_off - kHeaderReserve) / kSuperblockSize;
-  const auto* sb = reinterpret_cast<const SuperblockHeader*>(
-      dev_.base() + sb_offset(sb_index));
-  // Geometry comes from the superblock header, which carve time persisted
-  // and the scan validated — the block header itself is untrustworthy.
-  hdr->size_class = static_cast<std::uint32_t>(sb->size_class);
-  hdr->user_size = sb->size_class < kNumClasses
-                       ? kStrides[sb->size_class] - sizeof(BlockHeader)
-                       : sb->user_size;
-  hdr->status = static_cast<std::uint32_t>(BlockStatus::kQuarantined);
+  // The class comes from the superblock header, which carve time
+  // persisted and the scan validated — the block header itself is
+  // untrustworthy.
   hdr->create_epoch = kInvalidEpoch;
-  hdr->delete_epoch = kInvalidEpoch;
-  hdr->integrity = header_tag(hdr->size_class, hdr->user_size, block_off);
-  dev_.mark_dirty(hdr, sizeof(*hdr));
+  dev_.mark_dirty(&hdr->create_epoch, sizeof(hdr->create_epoch));
+  write_meta(hdr, BlockStatus::kQuarantined, superblock_of(hdr)->size_class,
+             kInvalidEpoch);
 }
 
 std::uint64_t PAllocator::corrupt_superblock_count() const {
@@ -288,10 +298,11 @@ void PAllocator::rebuild_free_lists() {
       auto* hdr = reinterpret_cast<BlockHeader*>(
           at(sb_offset(i) + kCacheLineSize));
       if (hdr->st() == BlockStatus::kFree) {
+        hdr->create_epoch = kInvalidEpoch;
         std::scoped_lock lk(large_mu_);
         large_free_.emplace_back(i, span);
       } else {
-        bytes_in_use_.fetch_add(hdr->user_size + sizeof(BlockHeader),
+        bytes_in_use_.fetch_add(sb->user_size + sizeof(BlockHeader),
                                 std::memory_order_relaxed);
       }
       return;
@@ -303,6 +314,7 @@ void PAllocator::rebuild_free_lists() {
          off + stride <= sb_offset(i) + kSuperblockSize; off += stride) {
       auto* hdr = reinterpret_cast<BlockHeader*>(at(off));
       if (hdr->st() == BlockStatus::kFree) {
+        hdr->create_epoch = kInvalidEpoch;
         cs.free_offsets.push_back(off + sizeof(BlockHeader));
       } else {
         bytes_in_use_.fetch_add(stride, std::memory_order_relaxed);

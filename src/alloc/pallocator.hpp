@@ -1,10 +1,13 @@
 // Persistent NVM allocator (Ralloc substitute, DESIGN.md §2).
 //
-// Segregated size classes carved from 256 KiB superblocks inside an
-// nvm::Device, with per-thread block caches so the pNew() fast path is
-// lock-free. Every block carries a self-describing 48-byte header
-// (status, create/delete epoch, user size, integrity tag) — the metadata
-// the epoch system's §5.2 recovery scan classifies blocks by.
+// Segregated size classes (strides 32 B .. 64 KiB) carved from 256 KiB
+// superblocks inside an nvm::Device, with per-thread block caches so the
+// pNew() fast path is lock-free. Every block carries a self-describing
+// 16-byte header (create epoch; packed status, size class, delete epoch
+// and integrity tag) — the metadata the epoch system's §5.2 recovery
+// scan classifies blocks by. A 16-byte pair takes a 32-byte block, so two
+// blocks share a cache line ("line-mates"); the superblock header holds
+// the class, and a large span's size, so no block repeats them.
 //
 // Crash-consistency contract (shared with EpochSys):
 //   * Superblock headers are persisted synchronously at carve time, so a
@@ -15,6 +18,12 @@
 //   * free() never needs to persist: it is only legal once the block's
 //     DELETED (or invalid-epoch) state is already durable — the epoch
 //     system and recovery uphold that ordering.
+//   * A line-mate's write-back copies a block's words as they are at that
+//     instant, so any mix of a call's old and new header words may reach
+//     the media. Every block on a free list or in a thread cache therefore
+//     holds kInvalidEpoch in word 0, in the working image: a reused block
+//     can never pair its previous create epoch with a fresh kAllocated
+//     word 1 (DESIGN.md §5, "Line-mates").
 #pragma once
 
 #include <atomic>
@@ -44,35 +53,51 @@ enum class BlockStatus : std::uint32_t {
 };
 
 /// Self-describing per-block metadata, stored immediately before the
-/// payload. 48 bytes (padded so payloads keep 16-byte alignment inside
-/// the 64 B-aligned strides); all fields are read by the recovery scan.
+/// payload: two 8-byte words, so payloads keep 16-byte alignment.
 ///
-/// `integrity` tags the fields that are constant from init to free
-/// (size_class, user_size, and the block's device offset). Status and the
-/// two epochs are deliberately NOT covered: they mutate in place — the
-/// create epoch inside hardware transactions, where recomputing a tag is
-/// impossible — so recovery validates them by range instead (status must
-/// be a known enumerator, epochs must be kInvalidEpoch or below the
-/// persisted horizon).
+///   word 0  create_epoch, the full 64 bits: the one header field an
+///           operation writes inside a hardware transaction (the
+///           Listing 1 stamp).
+///   word 1  meta, packed from the low bit up: status (2 bits), size
+///           class (4), delete epoch (42; all ones is kInvalidEpoch) and
+///           an integrity tag (16). Written only outside transactions,
+///           each time with one 8-byte store (PAllocator::set_state).
+///
+/// The tag covers word 1's other fields and the block's device offset.
+/// The create epoch is deliberately NOT covered — it changes inside
+/// transactions, where recomputing a tag is impossible — so recovery
+/// validates it by range instead (kInvalidEpoch or below the persisted
+/// horizon). Read word 1 only through the accessors below.
 struct BlockHeader {
-  std::uint32_t status;      // BlockStatus
-  std::uint32_t size_class;  // index into the class table
-  std::uint64_t create_epoch;
-  std::uint64_t delete_epoch;
-  std::uint64_t user_size;
-  std::uint64_t integrity;
-  std::uint64_t reserved_;  // alignment pad (keeps payloads 16-aligned)
+  static constexpr unsigned kClassShift = 2;
+  static constexpr unsigned kDeleteShift = 6;
+  static constexpr unsigned kDeleteBits = 42;
+  static constexpr unsigned kTagShift = kDeleteShift + kDeleteBits;  // 48
+  /// The delete-epoch field's value for kInvalidEpoch; every real delete
+  /// epoch is below it (PAllocator::pack_meta checks).
+  static constexpr std::uint64_t kNoDelete =
+      (std::uint64_t{1} << kDeleteBits) - 1;
+  static constexpr std::uint64_t kTagMask = (std::uint64_t{1} << kTagShift) - 1;
 
-  BlockStatus st() const { return static_cast<BlockStatus>(status); }
+  std::uint64_t create_epoch;
+  std::uint64_t meta;
+
+  BlockStatus st() const { return static_cast<BlockStatus>(meta & 3); }
+  std::size_t size_class() const { return (meta >> kClassShift) & 0xf; }
+  std::uint64_t delete_epoch() const {
+    const std::uint64_t d = (meta >> kDeleteShift) & kNoDelete;
+    return d == kNoDelete ? kInvalidEpoch : d;
+  }
+  std::uint64_t tag() const { return meta >> kTagShift; }
 };
-static_assert(sizeof(BlockHeader) == 48);
+static_assert(sizeof(BlockHeader) == 16);
 static_assert(kCacheLineSize % alignof(std::max_align_t) == 0 &&
               sizeof(BlockHeader) % alignof(std::max_align_t) == 0);
 
 class PAllocator {
  public:
   static constexpr std::size_t kSuperblockSize = 256 * 1024;
-  static constexpr std::size_t kNumClasses = 11;  // strides 64 B .. 64 KiB
+  static constexpr std::size_t kNumClasses = 12;  // strides 32 B .. 64 KiB
   static constexpr std::size_t kHeaderReserve = 4096;  // device-front area
 
   enum class Mode {
@@ -86,7 +111,9 @@ class PAllocator {
   /// Allocate a block with at least `user_size` payload bytes. The header
   /// is initialized to {kAllocated, kInvalidEpoch, kInvalidEpoch}. Never
   /// legal inside a hardware transaction (it may persist superblock
-  /// metadata); asserts in debug builds.
+  /// metadata); asserts in debug builds. When a line holds several blocks
+  /// of the class, a bump hands the calling thread all of them, so
+  /// line-mates start out with one owner.
   void* alloc(std::size_t user_size);
 
   /// Return a block to its size-class free list. See the ordering
@@ -161,32 +188,50 @@ class PAllocator {
   /// Rebuild all transient free lists from header states. Part of
   /// recovery, after the epoch system has classified blocks. Blocks in
   /// any non-free state (including kQuarantined) are counted as in-use
-  /// and never handed out.
+  /// and never handed out; free ones get kInvalidEpoch in word 0 (the
+  /// free-list invariant, see the file comment).
   void rebuild_free_lists();
+
+  // ---- Header word 1 (BlockHeader::meta) ----
+
+  /// Set a block's status and delete epoch, keeping its class, with one
+  /// 8-byte store of word 1 and a fresh tag; marks the word dirty. Only
+  /// outside transactions: pRetire, abortOp and recovery.
+  void set_state(BlockHeader* hdr, BlockStatus status,
+                 std::uint64_t delete_epoch) {
+    write_meta(hdr, status, hdr->size_class(), delete_epoch);
+  }
+  /// Mark a dead block kFree with kInvalidEpoch in word 0: free() and the
+  /// recovery scan's discard. The block must not be reachable.
+  void mark_free(BlockHeader* hdr);
+
+  /// Header plus payload bytes the block spans: its class stride, or a
+  /// large span's header plus user size. pTrack flushes this much.
+  std::size_t block_bytes(const BlockHeader* hdr) const;
 
   // ---- Recovery-scan integrity checks ----
 
-  /// Tag over a block's init-time-constant identity. Content-free on
-  /// purpose: it detects a header that was torn, dropped, or bit-flipped
-  /// on the media, not payload corruption.
-  static std::uint64_t header_tag(std::uint32_t size_class,
-                                  std::uint64_t user_size,
+  /// 16-bit tag over word 1's status, class and delete epoch
+  /// (`fields`, the bits below kTagShift) and the block's device offset.
+  /// Content-free on purpose: it detects a header that was torn,
+  /// dropped, or bit-flipped on the media, not payload corruption.
+  static std::uint64_t header_tag(std::uint64_t fields,
                                   std::uint64_t block_off) {
     constexpr std::uint64_t kTagSalt = 0x8d1f5a2bd47c90e3ULL;
-    return splitmix64(block_off ^ (user_size << 8) ^
-                      (std::uint64_t{size_class} << 52) ^ kTagSalt);
+    return splitmix64((fields & BlockHeader::kTagMask) ^
+                      splitmix64(block_off ^ kTagSalt)) >>
+           BlockHeader::kTagShift;
   }
 
-  /// Full check for a non-free header met during the recovery scan:
-  /// size_class matches the containing superblock, status is a known
-  /// enumerator, user_size fits the stride, and the integrity tag
-  /// verifies. Epoch fields are NOT covered (see BlockHeader) — the
-  /// epoch system bounds-checks them separately.
+  /// Full check for a non-free header met during the recovery scan: the
+  /// size class matches the containing superblock and the integrity tag
+  /// verifies. The create epoch is NOT covered (see BlockHeader) — the
+  /// epoch system bounds-checks both epochs separately.
   bool validate_header(const BlockHeader* hdr) const;
 
-  /// Neutralize a block whose header failed validation: geometry fields
-  /// are restored from the (validated) superblock header, status becomes
-  /// kQuarantined, epochs become kInvalidEpoch, and a fresh tag is
+  /// Neutralize a block whose header failed validation: the class is
+  /// restored from the (validated) superblock header, status becomes
+  /// kQuarantined, both epochs become kInvalidEpoch, and a fresh tag is
   /// computed. The block is leaked permanently. Caller persists the
   /// rewritten header (clwb + eventual drain).
   void quarantine_block(BlockHeader* hdr);
@@ -215,7 +260,7 @@ class PAllocator {
     std::uint64_t magic;
     std::uint64_t size_class;  // kNumClasses == large span
     std::uint64_t span;        // superblocks covered (1 for sized classes)
-    std::uint64_t user_size;   // for large spans
+    std::uint64_t user_size;   // for large spans (block headers hold none)
   };
   static constexpr std::uint64_t kSbMagic = 0xbdbdbdbd5b5b5b5bULL;
 
@@ -272,10 +317,23 @@ class PAllocator {
   template <typename Fn>
   void visit_superblock(std::size_t index, Fn&& fn);
   std::uint64_t carve_superblocks(std::size_t count);  // returns sb index
-  std::uint64_t take_from_class(std::size_t cls);      // payload offset
+  /// Fill an empty thread cache: a batch from the class free list, or
+  /// else every block of the next bump line (one block when a block spans
+  /// lines), first block on top.
+  void refill(std::size_t cls, std::vector<std::uint64_t>& cache);
+  /// `bytes`: what the block adds to bytes_in_use.
   void* init_block(std::uint64_t payload_off, std::size_t cls,
-                   std::size_t user_size);
+                   std::size_t bytes);
   void* alloc_large(std::size_t user_size);
+  void write_meta(BlockHeader* hdr, BlockStatus status, std::size_t cls,
+                  std::uint64_t delete_epoch);
+  const SuperblockHeader* superblock_of(const BlockHeader* hdr) const {
+    const auto block_off = static_cast<std::uint64_t>(
+        reinterpret_cast<const std::byte*>(hdr) - dev_.base());
+    return reinterpret_cast<const SuperblockHeader*>(
+        dev_.base() +
+        sb_offset((block_off - kHeaderReserve) / kSuperblockSize));
+  }
 
   std::byte* at(std::uint64_t off) { return dev_.base() + off; }
   std::uint64_t sb_offset(std::uint64_t index) const {

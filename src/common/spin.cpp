@@ -1,19 +1,66 @@
 #include "common/spin.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
+#include <mutex>
+#include <string>
 #include <thread>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <x86intrin.h>
+#define BDHTM_HAVE_RDTSC 1
+#endif
 
 namespace bdhtm {
 namespace {
 
-std::atomic<double> g_iters_per_ns{0.0};
+// TSC cycles per nanosecond, 0 without an invariant TSC (steady_clock
+// deadlines then), and the cost of one rdtsc read in cycles: a spin ends
+// when a read returns at or past its deadline, so the deadline is set
+// one read early. Both are written once, under g_calibrated, before
+// g_ready is set.
+std::once_flag g_calibrated;
+std::atomic<bool> g_ready{false};
+double g_cycles_per_ns = 0.0;
+std::uint64_t g_read_cycles = 0;
 
-// A loop body the optimizer cannot elide.
-inline void spin_iters(std::uint64_t iters) {
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    asm volatile("" ::: "memory");
+/// The TSC ticks at a constant rate in every P-state (constant_tsc) and
+/// in deep C-states (nonstop_tsc), so it measures wall time.
+bool invariant_tsc() {
+#ifdef BDHTM_HAVE_RDTSC
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("flags", 0) != 0) continue;
+    line += ' ';
+    return line.find(" constant_tsc ") != std::string::npos &&
+           line.find(" nonstop_tsc ") != std::string::npos;
   }
+#endif
+  return false;
+}
+
+void calibrate() {
+  if (!invariant_tsc()) return;
+#ifdef BDHTM_HAVE_RDTSC
+  // Cycles per ns over a 2 ms steady_clock window.
+  const std::uint64_t t0 = now_ns();
+  const std::uint64_t c0 = __rdtsc();
+  std::uint64_t t1 = t0;
+  while (t1 - t0 < 2'000'000) t1 = now_ns();
+  const std::uint64_t c1 = __rdtsc();
+  g_cycles_per_ns = static_cast<double>(c1 - c0) / static_cast<double>(t1 - t0);
+  // The cheapest of many back-to-back reads is one read's cost.
+  std::uint64_t best = ~std::uint64_t{0};
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t a = __rdtsc();
+    const std::uint64_t b = __rdtsc();
+    best = std::min(best, b - a);
+  }
+  g_read_cycles = best;
+#endif
 }
 
 }  // namespace
@@ -26,24 +73,29 @@ std::uint64_t now_ns() {
 }
 
 void spin_calibrate() {
-  if (g_iters_per_ns.load(std::memory_order_acquire) > 0.0) return;
-  constexpr std::uint64_t kProbe = 4'000'000;
-  const std::uint64_t t0 = now_ns();
-  spin_iters(kProbe);
-  const std::uint64_t t1 = now_ns();
-  const std::uint64_t elapsed = t1 > t0 ? t1 - t0 : 1;
-  g_iters_per_ns.store(static_cast<double>(kProbe) / elapsed,
-                       std::memory_order_release);
+  std::call_once(g_calibrated, [] {
+    calibrate();
+    g_ready.store(true, std::memory_order_release);
+  });
 }
 
 void spin_for_ns(std::uint32_t ns) {
   if (ns == 0) return;
-  double rate = g_iters_per_ns.load(std::memory_order_acquire);
-  if (rate <= 0.0) {
-    spin_calibrate();
-    rate = g_iters_per_ns.load(std::memory_order_acquire);
+  if (!g_ready.load(std::memory_order_acquire)) spin_calibrate();
+#ifdef BDHTM_HAVE_RDTSC
+  if (g_cycles_per_ns > 0.0) {
+    const std::uint64_t start = __rdtsc();
+    const auto cycles = static_cast<std::uint64_t>(g_cycles_per_ns * ns);
+    const std::uint64_t deadline =
+        start + (cycles > g_read_cycles ? cycles - g_read_cycles : 0);
+    while (__rdtsc() < deadline) {
+    }
+    return;
   }
-  spin_iters(static_cast<std::uint64_t>(rate * ns) + 1);
+#endif
+  const std::uint64_t deadline = now_ns() + ns;
+  while (now_ns() < deadline) {
+  }
 }
 
 void Backoff::pause() {

@@ -1,16 +1,23 @@
-// Calibrated busy-wait used by the NVM latency model (DESIGN.md §2).
-// sleep()-based delays are far too coarse for the 100 ns–1 µs range of
-// Optane access latencies, so we spin a calibrated number of iterations.
+// Busy-wait to a wall-clock deadline, used by the NVM latency model
+// (DESIGN.md §2). sleep()-based delays are far too coarse for the
+// 100 ns–1 µs range of Optane access latencies, so a spin polls the
+// invariant TSC (constant_tsc and nonstop_tsc) until its deadline, or
+// steady_clock on a host without one. Modeled time is thus wall time: it
+// does not stretch on a slow or loaded host, and a preemption inside a
+// spin overlaps the modeled time instead of adding to it.
 #pragma once
 
 #include <cstdint>
 
 namespace bdhtm {
 
-/// Calibrate the spin loop (idempotent; first call costs ~1 ms).
+/// Measure the TSC's cycles per ns against steady_clock and the cost of
+/// one TSC read (idempotent and thread-safe; the first call takes ~2 ms).
+/// spin_for_ns calibrates on first use.
 void spin_calibrate();
 
-/// Busy-wait for approximately `ns` nanoseconds. 0 is a no-op.
+/// Busy-wait until `ns` nanoseconds have passed; never returns early by
+/// more than the calibration error. 0 is a no-op.
 void spin_for_ns(std::uint32_t ns);
 
 /// Monotonic wall-clock in nanoseconds.

@@ -15,6 +15,21 @@ namespace bdhtm::epoch {
 namespace {
 constexpr std::uint64_t kIdle = ~std::uint64_t{0};
 
+// abortOp files an undone retire in the retired list of its epoch for the
+// header's write-back only. The tag bit (payloads are 16-byte aligned)
+// keeps such an entry out of reclamation.
+void* header_only(void* payload) {
+  return reinterpret_cast<void*>(reinterpret_cast<std::uintptr_t>(payload) |
+                                 1);
+}
+bool is_header_only(const void* p) {
+  return (reinterpret_cast<std::uintptr_t>(p) & 1) != 0;
+}
+void* untagged(void* p) {
+  return reinterpret_cast<void*>(reinterpret_cast<std::uintptr_t>(p) &
+                                 ~std::uintptr_t{1});
+}
+
 int resolve_flusher_threads(int configured) {
   if (configured > 0) return std::min(configured, kMaxThreads);
   const unsigned hw = std::thread::hardware_concurrency();
@@ -247,13 +262,16 @@ void EpochSys::abortOp() {
     assert(checked::enabled() && "abortOp without beginOp");
   }
   checked::pb_abort_op();
-  // Undo retire marks applied by the aborted operation.
-  nvm::Device& dev = pa_.device();
+  // Undo retire marks applied by the aborted operation. A line-mate's
+  // write-back may have put a mark on the media, where nothing else would
+  // overwrite it, so each undone header is written back with the retired
+  // headers of the operation's epoch: by the time that epoch is durable,
+  // so is the undo.
+  auto& retired = ts.epoch_retired[ts.op_epoch % 4];
   for (void* p : ts.op_retired) {
-    auto* hdr = alloc::PAllocator::header_of(p);
-    hdr->status = static_cast<std::uint32_t>(alloc::BlockStatus::kAllocated);
-    hdr->delete_epoch = kInvalidEpoch;
-    dev.mark_dirty(hdr, sizeof(*hdr));
+    pa_.set_state(alloc::PAllocator::header_of(p),
+                  alloc::BlockStatus::kAllocated, kInvalidEpoch);
+    retired.push_back(header_only(p));
   }
   ts.op_tracked.clear();
   ts.op_retired.clear();
@@ -272,7 +290,7 @@ void* EpochSys::pNew(std::size_t size) {
   void* p = pa_.alloc(size);
   if (checked::enabled() && p != nullptr) {
     auto* hdr = alloc::PAllocator::header_of(p);
-    checked::pb_register_block(hdr, sizeof(*hdr) + size);
+    checked::pb_register_block(hdr, pa_.block_bytes(hdr));
   }
   return p;
 }
@@ -311,10 +329,8 @@ void EpochSys::pRetire(void* payload) {
   }
   ThreadState& ts = tstate();
   assert(ts.op_epoch != kInvalidEpoch && "pRetire outside an operation");
-  auto* hdr = alloc::PAllocator::header_of(payload);
-  hdr->status = static_cast<std::uint32_t>(alloc::BlockStatus::kDeleted);
-  hdr->delete_epoch = ts.op_epoch;
-  pa_.device().mark_dirty(hdr, sizeof(*hdr));
+  pa_.set_state(alloc::PAllocator::header_of(payload),
+                alloc::BlockStatus::kDeleted, ts.op_epoch);
   ts.op_retired.push_back(payload);
   stats_.blocks_retired.fetch_add(1, std::memory_order_relaxed);
 }
@@ -339,10 +355,9 @@ void EpochSys::pTrack(void* payload) {
   ThreadState& ts = tstate();
   assert(ts.op_epoch != kInvalidEpoch && "pTrack outside an operation");
   auto* hdr = alloc::PAllocator::header_of(payload);
-  ts.op_tracked.push_back(
-      {hdr, static_cast<std::uint32_t>(sizeof(*hdr) + hdr->user_size)});
-  checked::pb_capture_range(
-      hdr, sizeof(*hdr) + static_cast<std::size_t>(hdr->user_size));
+  const std::size_t bytes = pa_.block_bytes(hdr);
+  ts.op_tracked.push_back({hdr, static_cast<std::uint32_t>(bytes)});
+  checked::pb_capture_range(hdr, bytes);
 }
 
 void EpochSys::advance() {
@@ -430,7 +445,7 @@ void EpochSys::advance_locked(const std::stop_token& st,
   // capacity back and the flusher walks memory no operation thread
   // touches), then coalesce and flush them. Retired blocks are queued
   // for reclamation one transition later; their DELETED headers join the
-  // same flush.
+  // same flush (as do abortOp's undone headers, which are not queued).
   const std::size_t slot_idx = (e - 1) % 4;
   nvm::Device& dev = pa_.device();
   const bool do_flush = buffering_enabled();
@@ -438,9 +453,9 @@ void EpochSys::advance_locked(const std::stop_token& st,
     ThreadState& ts = tstate_[t].value;
     ts.epoch_tracked[slot_idx].swap(stolen_tracked_[t]);
     ts.epoch_retired[slot_idx].swap(stolen_retired_[t]);
-    pending_free_[slot_idx].insert(pending_free_[slot_idx].end(),
-                                   stolen_retired_[t].begin(),
-                                   stolen_retired_[t].end());
+    for (void* p : stolen_retired_[t]) {
+      if (!is_header_only(p)) pending_free_[slot_idx].push_back(p);
+    }
   }
   std::uint64_t flushed_ranges = 0;
   if (do_flush) flushed_ranges = flush_stolen_buffers(nthreads);
@@ -536,7 +551,7 @@ std::uint64_t EpochSys::flush_stolen_buffers(int nthreads) {
       ++n_ranges;
     }
     for (void* p : stolen_retired_[t]) {
-      auto* hdr = alloc::PAllocator::header_of(p);
+      auto* hdr = alloc::PAllocator::header_of(untagged(p));
       add_range(hdr, sizeof(*hdr));
     }
   }

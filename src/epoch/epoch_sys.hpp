@@ -282,19 +282,14 @@ class EpochSys {
     htm::nontx_store(&hdr->create_epoch, e);
     dev.mark_dirty(&hdr->create_epoch, sizeof(e));
   }
-  /// Transactional variants — the Listing 1 pattern stamps the epoch
-  /// inside the transaction, before the linearization point.
-  static std::uint64_t get_epoch_tx(htm::Txn& tx, const void* payload) {
-    return tx.load(&alloc::PAllocator::header_of(
-                        const_cast<void*>(payload))->create_epoch);
+  /// Accessor-generic variants (htm/access.hpp), for code shared between
+  /// the transactional and fallback paths — the Listing 1 pattern stamps
+  /// the epoch inside the transaction, before the linearization point.
+  template <typename Acc>
+  static std::uint64_t get_epoch_generic(Acc& acc, const void* payload) {
+    return acc.load(&alloc::PAllocator::header_of(
+                         const_cast<void*>(payload))->create_epoch);
   }
-  static void set_epoch_tx(htm::Txn& tx, nvm::Device& dev, void* payload,
-                           std::uint64_t e) {
-    auto* hdr = alloc::PAllocator::header_of(payload);
-    tx.store_nvm(dev, &hdr->create_epoch, e);
-  }
-  /// Accessor-generic variant for code shared between the transactional
-  /// and fallback paths (htm/access.hpp).
   template <typename Acc>
   static void set_epoch_generic(Acc& acc, nvm::Device& dev, void* payload,
                                 std::uint64_t e) {
@@ -402,13 +397,14 @@ class EpochSys {
   /// its own before the barrier.
   ///
   /// The scan is defensive against media corruption: every header must
-  /// pass the allocator's integrity check (tag over the init-constant
-  /// fields) and carry epoch stamps inside the sanity horizon before it
-  /// is classified; anything else is quarantined — leaked, never handed
-  /// to an owner or a free list — and counted in the returned
-  /// RecoveryReport. A header whose status bytes were zeroed reads as
-  /// kFree and is silently skipped, which is the same bounded data loss
-  /// (the block was durable, its pair is gone) without the count.
+  /// pass the allocator's integrity check (tag over status, class, delete
+  /// epoch and offset) and carry epoch stamps inside the sanity horizon
+  /// before it is classified; anything else is quarantined — leaked,
+  /// never handed to an owner or a free list — and counted in the
+  /// returned RecoveryReport. A header whose status bits were zeroed
+  /// reads as kFree and is silently skipped, which is the same bounded
+  /// data loss (the block was durable, its pair is gone) without the
+  /// count.
   template <typename OwnerOf, typename Relink>
   RecoveryReport recover(int owners, OwnerOf&& owner_of, Relink&& relink,
                          int threads) {
@@ -439,7 +435,6 @@ class EpochSys {
     auto scan = [&](int worker, alloc::BlockHeader* hdr, void* payload) {
       RecoveryReport& rep = parts[worker].value;
       auto write_back = [&] {
-        dev.mark_dirty(hdr, sizeof(*hdr));
         dev.clwb_nontxn(hdr);
         ++rep.headers_persisted;
       };
@@ -456,7 +451,9 @@ class EpochSys {
         ++rep.blocks_quarantined;
         return;
       }
-      if (!epoch_sane(hdr->create_epoch) || !epoch_sane(hdr->delete_epoch)) {
+      const std::uint64_t created = hdr->create_epoch;
+      const std::uint64_t deleted = hdr->delete_epoch();
+      if (!epoch_sane(created) || !epoch_sane(deleted)) {
         ++rep.epoch_violations;
         ++rep.blocks_quarantined;
         pa_.quarantine_block(hdr);
@@ -464,35 +461,32 @@ class EpochSys {
         return;
       }
       const bool created_valid =
-          hdr->create_epoch != kInvalidEpoch && hdr->create_epoch <= frontier;
+          created != kInvalidEpoch && created <= frontier;
       const bool alive =
           created_valid &&
           (hdr->st() == alloc::BlockStatus::kAllocated
-               ? hdr->delete_epoch == kInvalidEpoch ||
-                     hdr->delete_epoch > frontier
+               ? deleted == kInvalidEpoch || deleted > frontier
                : hdr->st() == alloc::BlockStatus::kDeleted &&
-                     hdr->delete_epoch > frontier);
+                     deleted > frontier);
       if (!alive) {
         ++rep.blocks_discarded;
-        hdr->status = static_cast<std::uint32_t>(alloc::BlockStatus::kFree);
+        pa_.mark_free(hdr);
         write_back();
         return;
       }
       if (hdr->st() == alloc::BlockStatus::kDeleted) ++rep.blocks_resurrected;
       if (hdr->st() != alloc::BlockStatus::kAllocated ||
-          hdr->delete_epoch != kInvalidEpoch) {
+          deleted != kInvalidEpoch) {
         // Normalize: the resurrected state must itself be durable, or a
         // later crash could re-kill a block we handed back.
-        hdr->status =
-            static_cast<std::uint32_t>(alloc::BlockStatus::kAllocated);
-        hdr->delete_epoch = kInvalidEpoch;
+        pa_.set_state(hdr, alloc::BlockStatus::kAllocated, kInvalidEpoch);
         write_back();
       }
       ++rep.blocks_live;
       const int owner = owner_of(payload);
       assert(owner >= 0 && owner < owners);
       found[static_cast<std::size_t>(worker) * owners + owner]
-          .value.push_back({payload, hdr->create_epoch});
+          .value.push_back({payload, created});
     };
     std::uint64_t t_relink = 0;
     std::barrier scanned(threads, [&]() noexcept { t_relink = now_ns(); });

@@ -33,17 +33,6 @@ inline KVPair* make_kv(EpochSys& es, std::uint64_t k, std::uint64_t v,
   return kv;
 }
 
-/// Reset a preallocated block for reuse by a new operation attempt.
-inline void reinit_kv(EpochSys& es, KVPair* kv, std::uint64_t k,
-                      std::uint64_t v) {
-  kv->key = k;
-  kv->value = v;
-  auto* hdr = alloc::PAllocator::header_of(kv);
-  hdr->create_epoch = kInvalidEpoch;
-  es.device().mark_dirty(kv, sizeof(*kv));
-  es.device().mark_dirty(&hdr->create_epoch, 8);
-}
-
 /// The create epoch stamped on a block's header, read plainly: for a
 /// block the caller reached through a structure it owns, or whose
 /// stamp can no longer change while it is reachable.
@@ -83,7 +72,8 @@ inline KVPair* keep_newer(EpochSys& es, KVPair* incumbent,
 /// give_back() takes an unlinked block and applies the paper's §5 rule
 /// to it — a block stamped by an operation that did not link it gets its
 /// epoch reset to invalid, so no stamped-but-unlinked block outlives the
-/// operation. Both run outside transactions.
+/// operation. Both run outside transactions, give_back inside the
+/// operation's envelope.
 class KVPool {
  public:
   KVPair* take(EpochSys& es, std::size_t bytes, std::uint64_t k,
@@ -91,15 +81,19 @@ class KVPool {
     if (free_.empty()) return make_kv(es, k, v, bytes);
     KVPair* kv = free_.back();
     free_.pop_back();
-    reinit_kv(es, kv, k, v);
+    kv->key = k;  // the block's epoch is already invalid (give_back)
+    kv->value = v;
+    es.device().mark_dirty(kv, sizeof(*kv));
     return kv;
   }
 
   void give_back(EpochSys& es, KVPair* kv) {
-    auto* hdr = alloc::PAllocator::header_of(kv);
-    if (hdr->create_epoch != kInvalidEpoch) {
-      hdr->create_epoch = kInvalidEpoch;
-      es.device().mark_dirty(&hdr->create_epoch, 8);
+    if (block_epoch(kv) != kInvalidEpoch) {
+      // A line-mate's write-back may have put the stamp on the media, so
+      // the reset is tracked in the stamp's own epoch (the envelope's):
+      // once that epoch is durable, so is the reset.
+      EpochSys::set_epoch_nontx(es.device(), kv, kInvalidEpoch);
+      es.pTrack(kv);
     }
     free_.push_back(kv);
   }

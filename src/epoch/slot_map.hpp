@@ -6,10 +6,10 @@
 //
 //   apply_batch  Each put takes a block from the thread's pool outside
 //                the transaction. One elided transaction over the union
-//                of the ops' footprints then runs the ops; a put stamps
-//                its block with the envelope's epoch before the
-//                linearization point, and an update or remove classifies
-//                the epoch of the block it found —
+//                of the ops' footprints then runs the ops; a put that
+//                links its block stamps it with the envelope's epoch just
+//                before the linearization point, and an update or remove
+//                classifies the epoch of the block it found —
 //                  newer -> OldSeeNew: the envelope restarts
 //                           (EnvelopeRestart, epoch/batch.hpp);
 //                  same  -> update the value in place;
@@ -39,7 +39,8 @@
 //                               transaction.
 //   htm::StripeMask footprint(key) const      an op's stripes (§11).
 //   htm::FallbackPolicy& fallback_policy()
-//   void clear()                drop every slot.
+//   void clear(std::size_t n)   drop every slot; n keys are about to be
+//                               linked (an index may size itself once).
 // and two optional ones:
 //   void note(const BatchOp&)   sees each op before its batch runs.
 //   void route_persist(KVPair*, key)
@@ -154,7 +155,7 @@ class SlotMap {
   /// happens-before edge (recovery's join) orders the call before any
   /// later operation.
   void relink(std::span<LiveBlock> blocks) {
-    index_.clear();
+    index_.clear(blocks.size());
     htm::OwnerAccess acc;
     for (const LiveBlock& b : blocks) {
       auto* kv = static_cast<KVPair*>(b.payload);
@@ -198,13 +199,14 @@ class SlotMap {
     st.persist = nullptr;
     op.ok = false;
     op.out_value = 0;
-    if (op.kind == BatchOp::Kind::kPut) {
-      // Stamp before the linearization point (Listing 1 line 17).
-      EpochSys::set_epoch_generic(acc, dev, st.fresh, op_epoch);
-    }
+    // Stamp right before the linearization point (Listing 1 line 17), and
+    // only a block the op links: an in-place update leaves its block
+    // unstamped. A fallback link into a full index keeps its stamp, which
+    // give_back resets if the retry does not link the block.
     const auto p = index_.probe(acc, op.key);
     if (p.slot == nullptr) {
       if (op.kind != BatchOp::Kind::kPut) return true;
+      EpochSys::set_epoch_generic(acc, dev, st.fresh, op_epoch);
       if (!index_.link(acc, p, op.key, st.fresh)) return false;
       st.persist = st.fresh;
       op.ok = true;
@@ -217,8 +219,8 @@ class SlotMap {
       op.ok = true;
       return true;
     }
-    const EpochOrder order = classify(
-        acc.load(&alloc::PAllocator::header_of(cur)->create_epoch), op_epoch);
+    const EpochOrder order = classify(EpochSys::get_epoch_generic(acc, cur),
+                                      op_epoch);
     if (order == EpochOrder::kNewer) acc.fail(htm::kOldSeeNewCode);
     if (op.kind == BatchOp::Kind::kRemove) {
       index_.unlink(acc, p, op.key);
@@ -228,6 +230,7 @@ class SlotMap {
       acc.store_nvm(dev, &cur->value, op.value);
       st.persist = cur;
     } else {
+      EpochSys::set_epoch_generic(acc, dev, st.fresh, op_epoch);
       acc.store(p.slot, reinterpret_cast<std::uint64_t>(st.fresh));
       st.retire = cur;
       st.persist = st.fresh;

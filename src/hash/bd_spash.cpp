@@ -40,14 +40,17 @@ void BDSpash::init_directory(int depth) {
   global_depth_ = depth;
 }
 
-void BDSpash::clear() {
+void BDSpash::clear(std::size_t keys) {
   {
     std::scoped_lock lk(segments_mu_);
     segments_.clear();
   }
   for (int i = 0; i < n_old_dirs_; ++i) old_dirs_[i].reset();
   n_old_dirs_ = 0;
-  init_directory(initial_depth_);
+  constexpr std::size_t kHalfSegment = kBucketsPerSegment * kSlotsPerBucket / 2;
+  int depth = initial_depth_;
+  while (depth < 30 && (kHalfSegment << depth) < keys) ++depth;
+  init_directory(depth);
 }
 
 BDSpash::~BDSpash() = default;

@@ -78,10 +78,10 @@ class BDSpash {
   void apply_batch(epoch::BatchOp* ops, std::size_t n);
 
   /// Rebuild the table from recovered blocks (epoch::SlotMap::relink):
-  /// reset the directory to its initial depth, link the blocks with plain
-  /// accesses, split full buckets, and on duplicate keys keep the newer
-  /// epoch, in either arrival order. The caller owns the table outright,
-  /// as PHTMvEB::relink_recovered describes.
+  /// reset the directory to the depth the block count needs, link the
+  /// blocks with plain accesses, split full buckets, and on duplicate keys
+  /// keep the newer epoch, in either arrival order. The caller owns the
+  /// table outright, as PHTMvEB::relink_recovered describes.
   void relink_recovered(std::span<epoch::LiveBlock> blocks);
 
   std::uint64_t nvm_bytes() const { return es_.allocator().bytes_in_use(); }
@@ -125,8 +125,10 @@ class BDSpash {
   void unlink(Acc& acc, const Probe& p, std::uint64_t key);
   void grow(std::uint64_t key);
   /// Drop every DRAM segment and retired directory, and start again at
-  /// the initial depth. Single-threaded by contract (recovery).
-  void clear();
+  /// the depth that holds `keys` at half the slots (at least the initial
+  /// depth), so a relink does not regrow the directory split by split.
+  /// Single-threaded by contract (recovery).
+  void clear(std::size_t keys);
   /// Puts and gets feed the hotspot detector.
   void note(const epoch::BatchOp& op);
   void route_persist(epoch::KVPair* blk, std::uint64_t key);

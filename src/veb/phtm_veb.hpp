@@ -104,7 +104,9 @@ class PHTMvEB {
     core_->remove_existing(acc, key);
   }
   void grow(std::uint64_t) {}  // never called: link always succeeds
-  void clear() { core_ = std::make_unique<VebCore>(core_->ubits()); }
+  void clear(std::size_t) {
+    core_ = std::make_unique<VebCore>(core_->ubits());
+  }
 
   epoch::EpochSys& es_;
   nvm::Device& dev_;

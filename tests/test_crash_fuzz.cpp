@@ -222,7 +222,8 @@ TEST(CrashFuzzNegative, HarnessCatchesMissingTracking) {
   // refuses to persist untracked writes.
   bool found = false;
   w.pa->for_each_block([&](alloc::BlockHeader* hdr, void* payload) {
-    if (hdr->user_size == sizeof(epoch::KVPair)) {
+    if (hdr->size_class() ==
+        alloc::PAllocator::class_for(sizeof(epoch::KVPair))) {
       auto* kv = static_cast<epoch::KVPair*>(payload);
       if (kv->key == kKey) {
         kv->value = 222;  // untracked write, never marked dirty

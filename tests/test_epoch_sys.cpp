@@ -3,19 +3,26 @@
 // crash-consistency property.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <ctime>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "alloc/pallocator.hpp"
 #include "common/spin.hpp"
 #include "epoch/epoch_sys.hpp"
+#include "epoch/kvpair.hpp"
+#include "htm/fallback.hpp"
+#include "htm/retry.hpp"
 #include "nvm/device.hpp"
 
 namespace bdhtm {
@@ -260,7 +267,7 @@ TEST(EpochRecovery, RecentlyDeletedBlockIsResurrected) {
   auto rec = recover_env(env.dev);
   ASSERT_EQ(rec.live.size(), 1u);
   EXPECT_EQ(*static_cast<std::uint64_t*>(rec.live.begin()->first), 9u);
-  EXPECT_EQ(PAllocator::header_of(rec.live.begin()->first)->delete_epoch,
+  EXPECT_EQ(PAllocator::header_of(rec.live.begin()->first)->delete_epoch(),
             alloc::kInvalidEpoch);  // normalized
 }
 
@@ -319,7 +326,7 @@ void build_writeback_image(Env& env, int live) {
   std::vector<void*> blocks;
   for (int i = 0; i < live + 4; ++i) blocks.push_back(stamped());
   BlockHeader* bad = PAllocator::header_of(blocks[0]);
-  bad->user_size ^= 1;
+  bad->meta ^= std::uint64_t{1} << BlockHeader::kDeleteShift;
   env.dev.mark_dirty(bad, sizeof(*bad));
   evict(blocks[0]);
   env.es->persist_all();
@@ -339,7 +346,7 @@ void build_writeback_image(Env& env, int live) {
 
 TEST(EpochRecovery, WritesBackOnlyChangedHeaders) {
   constexpr std::uint64_t kRootLines = 1;  // the persistent root's lines
-  for (const int live : {1000, 9000}) {
+  for (const int live : {1000, 18000}) {
     for (const int threads : {1, 4}) {
       Env env(tiny());
       build_writeback_image(env, live);
@@ -869,6 +876,360 @@ TEST(EpochDemand, ConcurrentRequestsCoalesce) {
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
   EXPECT_EQ(es.stats().epochs_advanced.load(), e0 + 1);
   EXPECT_EQ(es.stats().demand_advances.load(), 1u);
+}
+
+// ---- Line-mates (DESIGN.md §5, "Line-mates") ----
+//
+// Two 32-byte KV blocks, A and B, share one cache line. The write-back
+// pipeline copies a line with memcpy while workers store to it, so the
+// flush of A's line can put any mix of B's old and new words on the
+// media in the middle of a call on B (a hardware write-back would see a
+// prefix of one core's stores). A is tracked in epoch e; B goes through
+// one call that writes a block while A's line is written back. For every
+// old/new mix of the words the call changed, the mix reaches the media
+// with A's line, the heap crashes at each frontier around e and
+// recovers, and the recovered map must equal the snapshot at the
+// frontier, with no quarantine.
+
+using Oracle = std::map<std::uint64_t, std::uint64_t>;
+using epoch::KVPair;
+constexpr std::uint64_t kKeyA = 1, kValA = 100, kKeyB = 2;
+
+struct LineWorld {
+  LineWorld() : env(cfg(), /*advancer=*/false, /*flusher_threads=*/1) {
+    a = epoch::make_kv(es(), kKeyA, kValA);  // unstamped until epoch e
+    EXPECT_EQ(dev().line_index(PAllocator::header_of(a)),
+              dev().line_index(PAllocator::header_of(b())));
+  }
+  static nvm::DeviceConfig cfg() {
+    nvm::DeviceConfig c = tiny();
+    c.capacity = 1 << 20;
+    return c;
+  }
+  EpochSys& es() { return *env.es; }
+  nvm::Device& dev() { return env.dev; }
+  /// The other block of A's line: the next one this thread allocates.
+  KVPair* b() const {
+    return reinterpret_cast<KVPair*>(
+        reinterpret_cast<std::byte*>(a) +
+        PAllocator::stride_of_class(PAllocator::class_for(sizeof(KVPair))));
+  }
+
+  /// A committed put in the open operation: `kv` holds (key, value), is
+  /// stamped with the operation's epoch and tracked.
+  void put(KVPair* kv, std::uint64_t key, std::uint64_t value) {
+    const std::uint64_t e = es().current_op_epoch();
+    kv->key = key;
+    kv->value = value;
+    dev().mark_dirty(kv, sizeof(*kv));
+    EpochSys::set_epoch_nontx(dev(), kv, e);
+    es().pTrack(kv);
+    log.push_back({e, key, value, false});
+  }
+  void erase(std::uint64_t key) {
+    log.push_back({es().current_op_epoch(), key, 0, true});
+  }
+  /// B's put at the current epoch, in an operation of its own.
+  void put_b(std::uint64_t value) {
+    es().beginOp();
+    auto* kv = static_cast<KVPair*>(es().pNew(sizeof(KVPair)));
+    EXPECT_EQ(kv, b());
+    put(kv, kKeyB, value);
+    es().endOp();
+  }
+  /// A's put at epoch e, then the transition that makes e in-flight.
+  void insert_a() {
+    e = es().beginOp();
+    put(a, kKeyA, kValA);
+    es().endOp();
+    es().advance();
+  }
+  /// The map as of the end of epoch f.
+  Oracle snapshot(std::uint64_t f) const {
+    Oracle out;
+    for (const Commit& c : log) {
+      if (c.epoch > f) continue;
+      if (c.erase) {
+        out.erase(c.key);
+      } else {
+        out[c.key] = c.value;
+      }
+    }
+    return out;
+  }
+
+  struct Commit {
+    std::uint64_t epoch, key, value;
+    bool erase;
+  };
+  Env env;
+  KVPair* a = nullptr;
+  epoch::KVPool pool;
+  std::vector<Commit> log;
+  std::uint64_t e = 0;  // A's epoch
+};
+
+struct LineMateCall {
+  const char* name;
+  std::function<void(LineWorld&)> before;  // history up to the call
+  std::function<void(LineWorld&)> call;
+  std::function<void(LineWorld&)> after;  // the rest of B's operation
+  /// The call is T_e's reclamation step, after T_e wrote A's line: the
+  /// mix then reaches the media by another write-back of the line.
+  bool in_transition = false;
+};
+
+/// One in-transaction access to B, as SlotMap's puts make them.
+template <typename Body>
+void in_txn(Body&& body) {
+  htm::FallbackPolicy policy;
+  htm::elide<bool>(policy, policy.all(), [&](auto& acc) {
+    body(acc);
+    return true;
+  });
+}
+
+std::vector<LineMateCall> line_mate_calls() {
+  const auto begin_op = [](LineWorld& w) { w.es().beginOp(); };
+  const auto end_op = [](LineWorld& w) { w.es().endOp(); };
+  const auto nothing = [](LineWorld&) {};
+  // B durable since epoch e-1 and live, then an operation at e+1.
+  const auto live_b = [](LineWorld& w) {
+    w.put_b(30);
+    w.es().advance();
+    w.insert_a();
+    w.es().beginOp();
+  };
+  // B put, retired one epoch later; then A's put at e.
+  const auto retired_b = [](LineWorld& w) {
+    w.put_b(7);
+    w.es().advance();
+    w.es().beginOp();
+    w.es().pRetire(w.b());
+    w.erase(kKeyB);
+    w.es().endOp();
+  };
+  std::vector<LineMateCall> calls;
+  calls.push_back({"pNew of a block reused after free",
+                   [=](LineWorld& w) {
+                     retired_b(w);
+                     for (int i = 0; i < 3; ++i) w.es().advance();
+                     ASSERT_EQ(PAllocator::header_of(w.b())->st(),
+                               BlockStatus::kFree);
+                     w.insert_a();
+                     begin_op(w);
+                   },
+                   [](LineWorld& w) {
+                     ASSERT_EQ(w.es().pNew(sizeof(KVPair)), w.b());
+                   },
+                   end_op});
+  calls.push_back({"make_kv",
+                   [=](LineWorld& w) {
+                     w.insert_a();
+                     begin_op(w);
+                   },
+                   [](LineWorld& w) {
+                     ASSERT_EQ(epoch::make_kv(w.es(), kKeyB, 8), w.b());
+                   },
+                   end_op});
+  calls.push_back({"KVPool reuse",
+                   [=](LineWorld& w) {
+                     begin_op(w);
+                     KVPair* kv = w.pool.take(w.es(), sizeof(KVPair), 9, 9);
+                     ASSERT_EQ(kv, w.b());
+                     w.pool.give_back(w.es(), kv);
+                     end_op(w);
+                     w.insert_a();
+                     begin_op(w);
+                   },
+                   [](LineWorld& w) {
+                     ASSERT_EQ(w.pool.take(w.es(), sizeof(KVPair), kKeyB, 10),
+                               w.b());
+                   },
+                   end_op});
+  calls.push_back({"KVPool give_back of a stamped block",
+                   [=](LineWorld& w) {
+                     w.insert_a();
+                     begin_op(w);
+                     ASSERT_EQ(w.pool.take(w.es(), sizeof(KVPair), kKeyB, 11),
+                               w.b());
+                     EpochSys::set_epoch_nontx(w.dev(), w.b(),
+                                               w.es().current_op_epoch());
+                   },
+                   [](LineWorld& w) { w.pool.give_back(w.es(), w.b()); },
+                   end_op});
+  calls.push_back({"in-transaction stamp",
+                   [=](LineWorld& w) {
+                     w.insert_a();
+                     begin_op(w);
+                     ASSERT_EQ(epoch::make_kv(w.es(), kKeyB, 12), w.b());
+                   },
+                   [](LineWorld& w) {
+                     in_txn([&](auto& acc) {
+                       EpochSys::set_epoch_generic(acc, w.dev(), w.b(),
+                                                   w.es().current_op_epoch());
+                     });
+                   },
+                   [](LineWorld& w) {
+                     w.es().pTrack(w.b());
+                     w.log.push_back(
+                         {w.es().current_op_epoch(), kKeyB, 12, false});
+                     w.es().endOp();
+                   }});
+  calls.push_back({"in-place value store",
+                   [=](LineWorld& w) {
+                     w.insert_a();
+                     begin_op(w);
+                     auto* kv = static_cast<KVPair*>(
+                         w.es().pNew(sizeof(KVPair)));
+                     ASSERT_EQ(kv, w.b());
+                     w.put(kv, kKeyB, 13);
+                   },
+                   [](LineWorld& w) {
+                     in_txn([&](auto& acc) {
+                       acc.store_nvm(w.dev(), &w.b()->value,
+                                     std::uint64_t{14});
+                     });
+                   },
+                   [](LineWorld& w) {
+                     w.es().pTrack(w.b());
+                     w.log.push_back(
+                         {w.es().current_op_epoch(), kKeyB, 14, false});
+                     w.es().endOp();
+                   }});
+  calls.push_back({"pRetire", live_b,
+                   [](LineWorld& w) { w.es().pRetire(w.b()); },
+                   [](LineWorld& w) {
+                     w.erase(kKeyB);
+                     w.es().endOp();
+                   }});
+  calls.push_back({"abortOp",
+                   [=](LineWorld& w) {
+                     live_b(w);
+                     w.es().pRetire(w.b());
+                   },
+                   [](LineWorld& w) { w.es().abortOp(); }, nothing});
+  calls.push_back({"free",
+                   [=](LineWorld& w) {
+                     retired_b(w);
+                     w.es().advance();
+                     w.insert_a();  // T_e reclaims B, retired in e-1
+                   },
+                   [](LineWorld& w) {
+                     w.es().advance();
+                     ASSERT_EQ(PAllocator::header_of(w.b())->st(),
+                               BlockStatus::kFree);
+                   },
+                   nothing, /*in_transition=*/true});
+  return calls;
+}
+
+/// B's block: header words 0-1, key, value.
+using BlockWords = std::array<std::uint64_t, 4>;
+BlockWords words_of(const KVPair* kv) {
+  BlockWords w;
+  std::memcpy(w.data(), PAllocator::header_of(const_cast<KVPair*>(kv)),
+              sizeof(w));
+  return w;
+}
+void set_words(nvm::Device& dev, KVPair* kv, const BlockWords& w) {
+  BlockHeader* hdr = PAllocator::header_of(kv);
+  std::memcpy(hdr, w.data(), sizeof(w));
+  dev.mark_dirty(hdr, sizeof(w));
+}
+
+struct LineMateRun {
+  int changed = 0;      // words of B the call changed
+  std::string problem;  // empty: the recovered map is the snapshot
+};
+
+/// Bit i of `mix` picks the new value of the i-th changed word (else the
+/// old one); `transitions` counts the transitions before the crash, T_e
+/// (the one that flushes A's epoch) first.
+LineMateRun run_line_mate(const LineMateCall& c, unsigned mix,
+                          int transitions) {
+  LineMateRun out;
+  LineWorld w;
+  std::ostringstream why;
+  c.before(w);
+  const BlockWords old_w = words_of(w.b());
+  c.call(w);
+  const BlockWords new_w = words_of(w.b());
+  BlockWords mixed = new_w;
+  for (std::size_t i = 0; i < mixed.size(); ++i) {
+    if (old_w[i] == new_w[i]) continue;
+    if (((mix >> out.changed++) & 1) == 0) mixed[i] = old_w[i];
+  }
+  // A's line reaches the media with B mid-call: T_e writes it, unless
+  // the crash comes before T_e publishes its counter or the call is T_e's
+  // own reclamation.
+  const bool by_transition = !c.in_transition && transitions > 0;
+  set_words(w.dev(), w.b(), mixed);
+  if (by_transition) {
+    w.es().advance();
+  } else {
+    w.dev().flush_line_run_to_media(w.dev().line_index(w.a), 1);
+  }
+  set_words(w.dev(), w.b(), new_w);
+  c.after(w);
+  for (int t = by_transition ? 1 : 0; t < transitions; ++t) w.es().advance();
+
+  const std::uint64_t frontier =
+      EpochSys::recovery_frontier(w.es().persisted_epoch());
+  const Oracle expect = w.snapshot(frontier);
+  w.env.es.reset();
+  w.dev().simulate_crash();
+  PAllocator pa(w.dev(), PAllocator::Mode::kAttach);
+  EpochSys::Config cfg;
+  cfg.start_advancer = false;
+  cfg.attach = true;
+  cfg.flusher_threads = 1;
+  EpochSys es(pa, cfg);
+  Oracle got;
+  const epoch::RecoveryReport rep = es.recover([&](void* p, std::uint64_t) {
+    const auto* kv = static_cast<const KVPair*>(p);
+    if (!got.emplace(kv->key, kv->value).second) {
+      why << " duplicate key " << kv->key;
+    }
+  });
+  for (const auto& [k, v] : got) {
+    const auto it = expect.find(k);
+    if (it == expect.end()) {
+      why << " resurrected key " << k;
+    } else if (it->second != v) {
+      why << " key " << k << " holds " << v << ", not " << it->second;
+    }
+  }
+  for (const auto& [k, v] : expect) {
+    if (got.count(k) == 0) why << " lost key " << k;
+  }
+  if (rep.blocks_quarantined != 0) {
+    why << " " << rep.blocks_quarantined << " quarantined";
+  }
+  if (!why.str().empty()) {
+    const auto d = static_cast<std::int64_t>(frontier - w.e);
+    why << " (frontier e";
+    if (d != 0) why << std::showpos << d << std::noshowpos;
+    why << ")";
+  }
+  out.problem = why.str();
+  return out;
+}
+
+TEST(LineMates, EveryMixOfEveryCallRecoversTheFrontierSnapshot) {
+  for (const LineMateCall& c : line_mate_calls()) {
+    const int changed = run_line_mate(c, 0, 0).changed;
+    EXPECT_GT(changed, 0) << c.name << " changed no word of B";
+    for (unsigned mix = 0; mix < (1u << changed); ++mix) {
+      for (int transitions = 0; transitions <= 3; ++transitions) {
+        const LineMateRun r = run_line_mate(c, mix, transitions);
+        EXPECT_TRUE(r.problem.empty())
+            << c.name << ", old/new mix " << mix << " of " << changed
+            << " changed words, " << transitions
+            << " transitions:" << r.problem;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -343,7 +343,7 @@ TEST(FaultPlanCorruption, DetectorFiresOnHeaderDamage) {
   ASSERT_FALSE(oracle.empty());
   w.es.reset();
   w.dev->simulate_crash();
-  // Pick a victim pair and damage its header's user_size directly in the
+  // Pick a victim pair and damage its header's word 1 directly in the
   // post-reboot image (working == media after the crash), as a media
   // fault would present it to the scan.
   const std::uint64_t victim_key = oracle.begin()->first;
@@ -351,13 +351,17 @@ TEST(FaultPlanCorruption, DetectorFiresOnHeaderDamage) {
                                              alloc::PAllocator::Mode::kAttach);
   bool damaged = false;
   w.pa->for_each_block([&](alloc::BlockHeader* hdr, void* payload) {
-    if (damaged || hdr->user_size != sizeof(epoch::KVPair)) return;
+    if (damaged || hdr->size_class() != alloc::PAllocator::class_for(
+                                            sizeof(epoch::KVPair))) {
+      return;
+    }
     auto* kv = static_cast<epoch::KVPair*>(payload);
     if (kv->key != victim_key ||
         hdr->st() != alloc::BlockStatus::kAllocated) {
       return;
     }
-    hdr->user_size ^= 0x40;  // breaks the integrity tag
+    // A delete-epoch bit: breaks the integrity tag.
+    hdr->meta ^= std::uint64_t{1} << (alloc::BlockHeader::kDeleteShift + 6);
     damaged = true;
   });
   ASSERT_TRUE(damaged) << "victim block not found in the heap";
@@ -384,11 +388,11 @@ TEST(FaultPlanCorruption, DetectorFiresOnHeaderDamage) {
 // Random media corruption (torn XPLines, dropped lines, bit flips):
 // recovery must complete without crashing or handing out wild pointers,
 // with accounting identities intact and loss bounded. The bound has two
-// parts: a corrupted line touching a *block* damages at most that one
-// pair (hit count), while a corrupted line touching a *superblock
-// header* makes the whole superblock unreachable — those pairs vanish
-// from the scan, so the drop in blocks_scanned versus a corruption-free
-// control run accounts for them.
+// parts: a corrupted line touching *blocks* damages at most the pairs
+// that line holds (hit count times pairs per line), while a corrupted
+// line touching a *superblock header* makes the whole superblock
+// unreachable — those pairs vanish from the scan, so the drop in
+// blocks_scanned versus a corruption-free control run accounts for them.
 TEST(FaultPlanCorruption, RandomCorruptionDegradesGracefully) {
   auto run = [](const MediaCorruption* c, Oracle& oracle,
                 std::uint64_t& scanned, std::uint64_t& hit) {
@@ -449,7 +453,10 @@ TEST(FaultPlanCorruption, RandomCorruptionDegradesGracefully) {
   ASSERT_GT(hit, 0u);
   const std::uint64_t vanished =
       scanned_clean > scanned_corrupt ? scanned_clean - scanned_corrupt : 0;
-  EXPECT_LE(damaged, hit + vanished)
+  const std::uint64_t pairs_per_line =
+      kCacheLineSize / alloc::PAllocator::stride_of_class(
+                           alloc::PAllocator::class_for(sizeof(epoch::KVPair)));
+  EXPECT_LE(damaged, hit * pairs_per_line + vanished)
       << "loss exceeds the corrupted-line + unreachable-superblock bound";
 }
 

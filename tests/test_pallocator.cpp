@@ -25,14 +25,14 @@ nvm::DeviceConfig cfg_mb(std::size_t mb) {
 }
 
 TEST(PAllocator, ClassForSelectsSmallestFit) {
-  // stride must fit header (48 B) + payload
+  // stride must fit header (16 B) + payload
   EXPECT_EQ(PAllocator::class_for(1), 0u);
-  EXPECT_EQ(PAllocator::class_for(16), 0u);   // 16+48 = 64
-  EXPECT_EQ(PAllocator::class_for(17), 1u);   // needs 128
-  EXPECT_EQ(PAllocator::class_for(80), 1u);
-  EXPECT_EQ(PAllocator::class_for(81), 2u);
-  EXPECT_EQ(PAllocator::class_for(65488), 10u);
-  EXPECT_EQ(PAllocator::class_for(65489), PAllocator::kNumClasses);  // large
+  EXPECT_EQ(PAllocator::class_for(16), 0u);   // 16+16 = 32
+  EXPECT_EQ(PAllocator::class_for(17), 1u);   // needs 64
+  EXPECT_EQ(PAllocator::class_for(112), 2u);  // 112+16 = 128
+  EXPECT_EQ(PAllocator::class_for(113), 3u);
+  EXPECT_EQ(PAllocator::class_for(65520), 11u);
+  EXPECT_EQ(PAllocator::class_for(65521), PAllocator::kNumClasses);  // large
 }
 
 TEST(PAllocator, AllocInitializesHeader) {
@@ -43,9 +43,9 @@ TEST(PAllocator, AllocInitializesHeader) {
   BlockHeader* h = PAllocator::header_of(p);
   EXPECT_EQ(h->st(), BlockStatus::kAllocated);
   EXPECT_EQ(h->create_epoch, alloc::kInvalidEpoch);
-  EXPECT_EQ(h->delete_epoch, alloc::kInvalidEpoch);
-  EXPECT_EQ(h->user_size, 16u);
-  EXPECT_EQ(h->size_class, 0u);
+  EXPECT_EQ(h->delete_epoch(), alloc::kInvalidEpoch);
+  EXPECT_EQ(pa.block_bytes(h), 32u);
+  EXPECT_EQ(h->size_class(), 0u);
   EXPECT_EQ(PAllocator::payload_of(h), p);
 }
 
@@ -67,7 +67,7 @@ TEST(PAllocator, FreeAndReuse) {
   void* p = pa.alloc(16);
   const auto used_before = pa.bytes_in_use();
   pa.free(p);
-  EXPECT_EQ(pa.bytes_in_use(), used_before - 64);
+  EXPECT_EQ(pa.bytes_in_use(), used_before - 32);
   // Same thread's cache serves the block right back.
   void* q = pa.alloc(16);
   EXPECT_EQ(q, p);
@@ -79,8 +79,8 @@ TEST(PAllocator, DifferentClassesDontMix) {
   PAllocator pa(dev);
   void* small = pa.alloc(16);
   void* big = pa.alloc(200);
-  EXPECT_EQ(PAllocator::header_of(small)->size_class, 0u);
-  EXPECT_EQ(PAllocator::header_of(big)->size_class, 2u);
+  EXPECT_EQ(PAllocator::header_of(small)->size_class(), 0u);
+  EXPECT_EQ(PAllocator::header_of(big)->size_class(), 3u);
   pa.free(small);
   void* big2 = pa.alloc(200);  // must not land on the freed small block
   EXPECT_NE(big2, small);
@@ -95,8 +95,8 @@ TEST(PAllocator, LargeAllocationRoundTrip) {
   std::memset(p, 0x5a, big);
   dev.mark_dirty(p, big);
   BlockHeader* h = PAllocator::header_of(p);
-  EXPECT_EQ(h->user_size, big);
-  EXPECT_GE(h->size_class, PAllocator::kNumClasses);
+  EXPECT_EQ(pa.block_bytes(h), sizeof(BlockHeader) + big);
+  EXPECT_GE(h->size_class(), PAllocator::kNumClasses);
   pa.free(p);
   void* q = pa.alloc(big);  // reuses the span
   EXPECT_EQ(q, p);
@@ -198,7 +198,7 @@ TEST(PAllocator, RebuildFreeListsRecoversFreeBlocks) {
 TEST(PAllocator, AttachModeFindsWatermark) {
   nvm::Device dev(cfg_mb(16));
   auto pa = std::make_unique<PAllocator>(dev);
-  for (int i = 0; i < 10000; ++i) pa->alloc(16);  // forces several SBs
+  for (int i = 0; i < 20000; ++i) pa->alloc(16);  // forces several SBs
   const auto reserved = pa->bytes_reserved();
   pa.reset();
   PAllocator attached(dev, PAllocator::Mode::kAttach);
@@ -239,7 +239,7 @@ TEST(PAllocator, TailLargeSpanSurvivesAttach) {
     if (payload != large) return;
     found_large = true;
     EXPECT_TRUE(attached.validate_header(hdr));
-    EXPECT_EQ(hdr->user_size, big);
+    EXPECT_EQ(attached.block_bytes(hdr), sizeof(BlockHeader) + big);
     EXPECT_EQ(*static_cast<std::uint8_t*>(payload), 0x5au);
   });
   EXPECT_TRUE(found_large) << "durable tail span lost by the attach scan";

@@ -289,9 +289,9 @@ TEST(SvcRecovery, SkiplistMediaFreeze) {
 // in whatever order they race to, so the image spans several of them and
 // the two copies of a duplicated key sit in different ones.
 
-constexpr std::uint64_t kImageKeys = 10'000;  // ~2.5 superblocks of 64 B
+constexpr std::uint64_t kImageKeys = 20'000;  // ~2.5 superblocks of 32 B
 constexpr std::uint64_t kPastFrontier = 40;   // per discarded kind
-constexpr int kImageUbits = 14;               // vEB universe > every key
+constexpr int kImageUbits = 15;               // vEB universe > every key
 
 std::uint64_t image_value(std::uint64_t key, std::uint64_t gen) {
   return (key << 8) | gen;
@@ -332,7 +332,7 @@ Oracle build_crash_image(SvcFaultWorld& w) {
   }
   constexpr std::uint64_t kCorrupt = 50;
   alloc::BlockHeader* bad = alloc::PAllocator::header_of(blocks[kCorrupt]);
-  bad->user_size ^= 1;
+  bad->meta ^= std::uint64_t{1} << alloc::BlockHeader::kDeleteShift;
   dev.mark_dirty(bad, sizeof(*bad));
   evict(blocks[kCorrupt]);
   expect.erase(kCorrupt);
