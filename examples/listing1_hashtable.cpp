@@ -148,7 +148,8 @@ int main() {
   es.advance();
   insert(table.get(), 17, 1702);
   std::printf("newer-epoch update: out-of-place replace; old block "
-              "retired, reclaimed two transitions later\n");
+              "retired, durably at the next transition, reclaimed at the "
+              "one after\n");
 
   es.persist_all();
   std::printf("persisted: blocks reclaimed so far = %llu\n",

@@ -21,7 +21,8 @@ int main() {
   nvm::Device dev(dcfg);
 
   // 2. Persistent allocator and the epoch system (50 ms epochs by
-  //    default; every write becomes durable within two epochs).
+  //    default; every write becomes durable at the end of its epoch,
+  //    when the transition that closes it writes it back).
   alloc::PAllocator pa(dev);
   epoch::EpochSys::Config ecfg;
   ecfg.epoch_length_us = 10'000;
@@ -50,7 +51,7 @@ int main() {
 
   std::printf("recovered %zu pairs; get(42) = %llu; get(2000) %s\n", live,
               static_cast<unsigned long long>(*recovered.find(42)),
-              recovered.find(2000) ? "SURVIVED (epoch got flushed in time)"
-                                   : "dropped (tail of the last epochs)");
+              recovered.find(2000) ? "SURVIVED (its epoch closed in time)"
+                                   : "dropped (its epoch never closed)");
   return 0;
 }

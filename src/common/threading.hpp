@@ -33,7 +33,7 @@ void reset_thread_ids_for_testing();
 /// `run(parties, job)` invokes `job(0) .. job(parties-1)`; part 0 executes
 /// on the calling thread, the rest on pool threads, and the call returns
 /// only after every part finished (the barrier the epoch transition's
-/// step-2 -> step-3 ordering needs). `parties` is clamped to
+/// flush-before-counter ordering needs). `parties` is clamped to
 /// `1 + workers()`. With a single party the job runs inline with zero
 /// synchronization. Only one run() may be active at a time.
 class FlusherPool {

@@ -103,7 +103,7 @@ EpochSys::EpochSys(alloc::PAllocator& pa, const Config& cfg)
 void EpochSys::advancer_main(const std::stop_token& st) {
   // The interruptible waits (instead of a bare sleep_for) let
   // request_stop() cut both the inter-epoch sleep and — via the
-  // stop-token-aware advance() — a step-1 wait stalled behind an
+  // stop-token-aware advance() — a step-2 wait stalled behind an
   // announced thread, so destruction never hangs.
   const auto demanded = [this] {
     return advance_requested_.load(std::memory_order_relaxed) &&
@@ -360,7 +360,17 @@ void EpochSys::pTrack(void* payload) {
   checked::pb_capture_range(hdr, bytes);
 }
 
+bool EpochSys::waits_on_self(const char* site) {
+  if (!in_op()) return false;
+  // The transition drains the closing epoch, and the caller's own open
+  // operation is announced there: it would wait on itself forever.
+  checked::violation(checked::Rule::kUnbalancedEpochOp, site);
+  assert(checked::enabled() && "advance() with an operation open");
+  return true;
+}
+
 void EpochSys::advance() {
+  if (waits_on_self("epoch::EpochSys::advance (operation open)")) return;
   advance(std::stop_token{}, AdvanceCause::kExplicit);
 }
 
@@ -422,31 +432,38 @@ void EpochSys::advance_locked(const std::stop_token& st,
   const std::uint64_t t_begin = now_ns();
   const std::uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
 
-  // (1) Wait for in-flight operations of epoch e-1 to complete. New
-  // operations keep starting in the active epoch e meanwhile. Bounded
-  // exponential backoff instead of a raw yield loop: announced threads
-  // need the CPU more than the advancer does, and the stop-token check
-  // lets shutdown abandon the transition instead of hanging behind a
-  // stalled thread.
+  // (1) Publish e+1. Operations that begin from here on register in it,
+  // so the closing epoch e keeps only the operations already announced
+  // there (beginOp re-checks the epoch after announcing, so none slips
+  // into e behind this store). Stamp the new epoch's begin time for the
+  // persistence-lag samples.
+  global_epoch_.store(e + 1, std::memory_order_seq_cst);
+  epoch_begin_ns_[(e + 1) % 4].store(t_begin, std::memory_order_relaxed);
+
+  // (2) Drain: wait until no thread is announced in an epoch <= e. New
+  // operations keep starting in e+1 meanwhile. Bounded exponential
+  // backoff instead of a raw yield loop: announced threads need the CPU
+  // more than the advancer does, and the stop-token check lets shutdown
+  // abandon the transition instead of hanging behind a stalled thread.
   const int nthreads = max_thread_id_seen();
   for (int t = 0; t < nthreads; ++t) {
     auto& slot = announce_[t].value;
     Backoff backoff;
     while (true) {
       const std::uint64_t a = slot.load(std::memory_order_seq_cst);
-      if (a == kIdle || a >= e) break;
-      if (st.stop_requested()) return;  // abandoned: no epoch published
+      if (a == kIdle || a > e) break;
+      if (st.stop_requested()) return;  // abandoned: e is never persisted
       backoff.pause();
     }
   }
 
-  // (2) The write-back pipeline: steal the per-thread buffers of epoch
-  // e-1 (O(1) swaps with recycled spares — operation threads get their
+  // (3) The write-back pipeline: steal the per-thread buffers of epoch e
+  // (O(1) swaps with recycled spares — operation threads get their
   // capacity back and the flusher walks memory no operation thread
   // touches), then coalesce and flush them. Retired blocks are queued
   // for reclamation one transition later; their DELETED headers join the
   // same flush (as do abortOp's undone headers, which are not queued).
-  const std::size_t slot_idx = (e - 1) % 4;
+  const std::size_t slot_idx = e % 4;
   nvm::Device& dev = pa_.device();
   const bool do_flush = buffering_enabled();
   for (int t = 0; t < nthreads; ++t) {
@@ -464,28 +481,27 @@ void EpochSys::advance_locked(const std::stop_token& st,
     stolen_retired_[t].clear();
   }
 
-  // (3) Persist the epoch counter, (4) publish the new epoch. The
-  // counter is published through atomic_ref because durable-ack pollers
-  // read it via persisted_epoch() without taking the advance lock.
+  // (4) Persist the counter as e+2 (recovery_frontier(e+2) == e): behind
+  // the flush barrier, this store is the point at which epoch e becomes
+  // durable. The counter is published through atomic_ref because
+  // durable-ack pollers read it via persisted_epoch() without taking the
+  // advance lock.
   std::atomic_ref<std::uint64_t>(root()->persisted_epoch)
-      .store(e + 1, std::memory_order_release);
+      .store(e + 2, std::memory_order_release);
   if (do_flush) {
     persist_root();
   } else {
-    root()->integrity = root_tag(e + 1);
+    root()->integrity = root_tag(e + 2);
     dev.mark_dirty(root(), sizeof(PersistentRoot));
   }
-  global_epoch_.store(e + 1, std::memory_order_seq_cst);
 
-  // Persistence-lag accounting: publishing persisted = e+1 just made
-  // epoch e-1 durable; its age (now - its begin) is one sample of how
-  // stale a crash at this instant could have left us. Stamp the new
-  // active epoch's begin time for future samples.
+  // Persistence-lag accounting: epoch e just became durable; its age
+  // (now - its begin) is one sample of how stale a crash at this instant
+  // could have left us.
   {
     const std::uint64_t t_pub = now_ns();
-    epoch_begin_ns_[(e + 1) % 4].store(t_pub, std::memory_order_relaxed);
     const std::uint64_t began =
-        epoch_begin_ns_[(e - 1) % 4].load(std::memory_order_relaxed);
+        epoch_begin_ns_[e % 4].load(std::memory_order_relaxed);
     const std::uint64_t lag_us = t_pub > began ? (t_pub - began) / 1000 : 0;
     static auto& lag_hist =
         obs::Registry::global().histogram("epoch.persistence_lag_us");
@@ -495,15 +511,18 @@ void EpochSys::advance_locked(const std::stop_token& st,
     lag_gauge.set(static_cast<std::int64_t>(lag_us));
   }
 
-  // (5) Reclaim blocks retired in epoch e-2. Their replacements are
-  // durable (flushed at the previous transition), the persisted counter
-  // proves recovery will not resurrect them, AND no running operation
-  // can still hold a reference: an op could only have found a block that
-  // was reachable when the op began, the unlinking op ran in e-2, every
-  // op overlapping it ran in epoch <= e-1, and step (1) waited for
-  // those. This one-transition delay is what makes the epoch system
-  // double as safe memory reclamation (Montage's design).
-  auto& to_free = pending_free_[(e - 2) % 4];
+  // (5) Reclaim blocks retired in epoch e-1. Their DELETED headers are
+  // durable (flushed when the previous transition closed e-1), the
+  // persisted counter proves recovery will not resurrect them, AND no
+  // running operation can still hold a reference: an op could only have
+  // found a block that was reachable when the op began, the unlinking op
+  // ran in e-1 (while the global epoch was e-1 or e), every op
+  // overlapping it ran in an epoch <= e, and step (2) waited for those.
+  // Blocks retired in e wait for the next transition: an op of e+1 may
+  // have begun before their unlink. This one-transition delay is what
+  // makes the epoch system double as safe memory reclamation (Montage's
+  // design).
+  auto& to_free = pending_free_[(e - 1) % 4];
   for (void* p : to_free) {
     checked::pb_release_block(alloc::PAllocator::header_of(p));
     pa_.free(p);
@@ -523,7 +542,7 @@ void EpochSys::advance_locked(const std::stop_token& st,
   obs::trace_complete(obs::TraceEventType::kEpochAdvance, t_begin, e + 1,
                       flushed_ranges, static_cast<std::uint32_t>(cause));
   // Feed the watchdog only on *completed* transitions (the early return
-  // above skips this, so an advancer wedged in step 1 still counts as
+  // above skips this, so an advancer wedged in step 2 still counts as
   // stalled).
   last_transition_ns_.store(now_ns(), std::memory_order_relaxed);
 }
@@ -589,7 +608,7 @@ std::uint64_t EpochSys::flush_stolen_buffers(int nthreads) {
   // Fan the merged runs out across the flusher pool (runs are disjoint,
   // so flushers never write the same media line). run() barriers before
   // returning: nothing after this point can precede a flush, which is
-  // the step-2 -> step-3 ordering the BDL guarantee rests on.
+  // the step-3 -> step-4 ordering the BDL guarantee rests on.
   const int parties = std::min<std::size_t>(
       flushers_ ? flusher_threads_ : 1, runs_.size());
   if (parties <= 1) {
@@ -636,10 +655,10 @@ std::uint64_t EpochSys::flush_stolen_buffers(int nthreads) {
 }
 
 void EpochSys::persist_all() {
-  // Three transitions flush the currently active epoch's writes (and
-  // everything older); the fourth completes deferred reclamation.
-  advance();
-  advance();
+  if (waits_on_self("epoch::EpochSys::persist_all (operation open)")) return;
+  // The first transition flushes the active epoch's writes (everything
+  // older is durable already); the second reclaims the blocks retired in
+  // it.
   advance();
   advance();
 }

@@ -1,17 +1,18 @@
 // Buffered-durability epoch system (paper §3, Table 2; DESIGN.md §3).
 //
 // A background thread divides execution into epochs of a few milliseconds.
-// At any instant, with global epoch e:
-//   - e     is ACTIVE:    new operations register here,
-//   - e-1   is IN-FLIGHT: operations that began there may still finish,
-//   - i<=e-2 are VALID:   all their NVM writes are durable.
+// Between transitions, with global epoch e:
+//   - e      is ACTIVE: operations register here,
+//   - i<=e-1 are VALID: all their NVM writes are durable.
+// While the transition that ends e runs, e+1 is already ACTIVE and e is
+// IN-FLIGHT: operations that began there may still finish, and the
+// transition waits for them before it writes e back.
 //
 // NVM writes made by an operation are tracked in per-thread buffers and
-// written back (clwb + fence) by the advancer when their epoch becomes
-// valid — never on the operation's critical path and never inside a
-// hardware transaction. A crash in epoch e therefore recovers to the
-// consistent state at the end of epoch e-2: buffered durable
-// linearizability.
+// written back (clwb + fence) by the transition that ends their epoch —
+// never on the operation's critical path and never inside a hardware
+// transaction. A crash in epoch e therefore recovers to the consistent
+// state at the end of epoch e-1: buffered durable linearizability.
 //
 // HTM extensions over Montage (paper §3):
 //   * pNew() returns blocks tagged with an INVALID epoch; operations stamp
@@ -24,20 +25,21 @@
 //     (OldSeeNewException) and restart via abortOp() + beginOp().
 //
 // Transition algorithm (advance(), executed at most one epoch length
-// apart; see "Clock" below):
-//   1. wait until no announced operation remains in epoch e-1;
-//   2. flush every write buffered in epoch e-1 and persist the DELETED
-//      headers of blocks retired in e-1;
-//   3. persist the global epoch counter as e+1;
-//   4. publish global epoch e+1;
-//   5. reclaim blocks retired in e-1 (their replacements are now durable
-//      and the persisted counter proves it).
+// apart; see "Clock" below), from global epoch e:
+//   1. publish global epoch e+1;
+//   2. wait until no thread is announced in an epoch <= e;
+//   3. flush every write buffered in epoch e and the DELETED headers of
+//      blocks retired in e;
+//   4. persist the epoch counter as e+2, which makes e durable (the
+//      counter names the recovery frontier + 2, see recovery_frontier);
+//   5. reclaim blocks retired in e-1: every operation that could still
+//      reach them ran in an epoch <= e, and step 2 waited for those.
 //
-// Step 2 runs as a write-back *pipeline* (DESIGN.md §3, "Write-back
+// Step 3 runs as a write-back *pipeline* (DESIGN.md §3, "Write-back
 // pipeline"): the per-thread buffers are stolen by pointer swap, the
 // stolen ranges are coalesced to cache-line granularity (duplicate lines
 // flushed once, adjacent lines merged into bulk runs), and the merged
-// runs fan out across a small flusher pool. A barrier before step 3
+// runs fan out across a small flusher pool. A barrier before step 4
 // preserves the flush-before-counter ordering the BDL proof needs.
 //
 // Clock: the background advancer starts a transition when the epoch
@@ -103,7 +105,7 @@ struct EpochStats {
   /// Redundant line flushes eliminated by coalescing (duplicate or
   /// overlapping lines within one epoch's buffered writes).
   std::atomic<std::uint64_t> lines_deduped{0};
-  /// Wall time of each flush phase of step 2 (coalesce + fan-out +
+  /// Wall time of each flush phase of step 3 (coalesce + fan-out +
   /// barrier + drain), log-bucketed: quantiles via flush_ns.snapshot().
   obs::Histogram flush_ns;
   /// Per-transition advance() duration distribution (p50/p95/p99/max via
@@ -196,7 +198,7 @@ class EpochSys {
     /// root; the caller must run recover() before any operation.
     bool attach = false;
     /// Write-back pipeline width: how many threads flush the coalesced
-    /// line runs of step 2 (the advancer itself plus flusher_threads - 1
+    /// line runs of step 3 (the advancer itself plus flusher_threads - 1
     /// pool helpers). 1 = flush inline on the advancer (the pre-pipeline
     /// behaviour); 0 = auto (hardware concurrency, clamped to [1, 4]).
     int flusher_threads = 0;
@@ -307,7 +309,11 @@ class EpochSys {
   /// the system degenerates to an epoch clock + deferred reclamation).
   bool buffering_enabled() const { return !pa_.device().eadr(); }
 
-  /// One epoch transition, on the calling thread.
+  /// One epoch transition, on the calling thread: on return, everything
+  /// buffered before the call is durable. The transition waits for the
+  /// operations of the epoch it closes, so the caller must not have one
+  /// open; a caller that does gets kUnbalancedEpochOp (checked build) or
+  /// an assert, and no transition.
   void advance();
 
   /// Ask the background advancer to start the next transition early,
@@ -326,9 +332,10 @@ class EpochSys {
     post_advance_request();
   }
 
-  /// Advance until everything buffered so far is durable. Callers must
-  /// have quiesced operations. Used before planned shutdown and by the
-  /// space-accounting benchmarks.
+  /// Advance until everything buffered so far is durable and every block
+  /// retired so far is reclaimed: two transitions. Callers must have
+  /// quiesced operations (the same rule as advance()). Used before
+  /// planned shutdown and by the space-accounting benchmarks.
   void persist_all();
 
   void set_epoch_length_us(std::uint64_t us) {
@@ -342,12 +349,13 @@ class EpochSys {
   /// so the frontier arithmetic below has room). Exposed for tests.
   static constexpr std::uint64_t kFirstEpoch = 2;
 
-  /// Epoch recovered to after the given crash-time persisted epoch; the
-  /// "e-2" of the BDL guarantee. Saturates below kFirstEpoch instead of
-  /// wrapping: a crash before the second transition ever completed
-  /// (persisted == kFirstEpoch or kFirstEpoch + 1) recovers to "nothing
-  /// is durable yet", not to a frontier of ~2^64 that would resurrect
-  /// every uncommitted block. Exposed for tests.
+  /// Epoch recovered to after the given crash-time persisted epoch. The
+  /// transition that closes epoch f persists f+2, so this is the last
+  /// closed epoch: a crash in epoch e recovers to e-1. Saturates below
+  /// kFirstEpoch instead of wrapping: a crash before the first
+  /// transition ever completed (persisted == kFirstEpoch) recovers to
+  /// "nothing is durable yet", not to a frontier of ~2^64 that would
+  /// resurrect every uncommitted block. Exposed for tests.
   static std::uint64_t recovery_frontier(std::uint64_t persisted) {
     return persisted >= kFirstEpoch + 2 ? persisted - 2 : kFirstEpoch - 1;
   }
@@ -544,7 +552,8 @@ class EpochSys {
 
   /// Wallclock age of the oldest buffered-but-not-yet-durable epoch
   /// (persisted counter p means epochs <= p-2 are durable, so p-1 is the
-  /// oldest epoch whose buffered writes could still be lost by a crash).
+  /// oldest epoch whose buffered writes could still be lost by a crash:
+  /// the active epoch, or the closing one while a transition runs).
   /// This is the paper's buffered-durability staleness bound made
   /// observable: under a healthy advancer it stays within a small
   /// multiple of the epoch length; a growing lag is the first symptom of
@@ -576,8 +585,9 @@ class EpochSys {
     std::uint64_t op_epoch = kInvalidEpoch;
     std::vector<TrackedRange> op_tracked;
     std::vector<void*> op_retired;
-    // Ring of per-epoch buffers; 4 slots cover active, in-flight,
-    // being-flushed, and one safety slot (see advance()).
+    // Ring of per-epoch buffers indexed by epoch % 4. Two slots are live
+    // at once: the active epoch's and, during a transition, the closing
+    // epoch's, which step 3 steals (see advance_locked()).
     std::vector<TrackedRange> epoch_tracked[4];
     std::vector<void*> epoch_retired[4];
     // Watchdog bookkeeping: ops since the last deadline check, and the
@@ -614,10 +624,15 @@ class EpochSys {
   /// Returns the number of tracked ranges handed to the pipeline (the
   /// epoch-advance trace event reports it).
   std::uint64_t flush_stolen_buffers(int nthreads);
-  /// Stoppable transition: if `st` is signalled while step 1 waits out a
-  /// stalled announced thread, the transition is abandoned (no epoch is
-  /// published) so shutdown cannot hang behind it.
+  /// Stoppable transition: if `st` is signalled while step 2 waits out a
+  /// stalled announced thread, the transition is abandoned so shutdown
+  /// cannot hang behind it. e+1 stays published, but e is never flushed
+  /// or persisted (a crash recovers to e-1). Only the destructor signals
+  /// `st`, so no transition follows an abandoned one.
   void advance(const std::stop_token& st, AdvanceCause cause);
+  /// True (after reporting kUnbalancedEpochOp) when the calling thread
+  /// has an operation open, so a transition would wait on it forever.
+  bool waits_on_self(const char* site);
   /// Transition body; caller holds advance_mu_.
   void advance_locked(const std::stop_token& st, AdvanceCause cause);
   /// Background advancer: a transition per epoch length, or earlier on
@@ -629,8 +644,9 @@ class EpochSys {
 
   alloc::PAllocator& pa_;
   std::mutex advance_mu_;
-  // Retired blocks awaiting reclamation, indexed by retire-epoch % 4;
-  // touched only under advance_mu_.
+  // Retired blocks awaiting reclamation, indexed by retire-epoch % 4
+  // (the closing epoch's and its predecessor's are live); touched only
+  // under advance_mu_.
   std::vector<void*> pending_free_[4];
   std::atomic<std::uint64_t> global_epoch_{kFirstEpoch};
   std::atomic<std::uint64_t> epoch_length_us_;
@@ -639,7 +655,7 @@ class EpochSys {
 
   // ---- Write-back pipeline state (touched only under advance_mu_) ----
   // Recycled spares the per-thread buffers are swapped into at the start
-  // of step 2: stealing is O(1) per thread, operation threads get empty
+  // of step 3: stealing is O(1) per thread, operation threads get empty
   // buffers with retained capacity back, and the flusher walks memory no
   // operation thread touches. Cleared (not freed) after each transition.
   std::unique_ptr<std::vector<TrackedRange>[]> stolen_tracked_;
@@ -653,9 +669,11 @@ class EpochSys {
   RecoveryReport last_recovery_{};
 
   // ---- Persistence-lag sampling ----
-  // Wallclock begin time of epoch i at slot i % 4; 4 slots suffice
-  // because only epochs p-2 .. p+1 are ever consulted. Written at each
-  // publish (under advance_mu_), read lock-free by persistence_lag_ns().
+  // Wallclock begin time of epoch i at slot i % 4; only the active
+  // epoch's and the closing epoch's are consulted, and the two spare
+  // slots give a lock-free reader two transitions before its slot is
+  // reused. Written at each publish (under advance_mu_), read lock-free
+  // by persistence_lag_ns().
   std::atomic<std::uint64_t> epoch_begin_ns_[4];
 
   // ---- Advancer watchdog ----

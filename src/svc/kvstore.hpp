@@ -16,12 +16,14 @@
 //   kDurable  - parked until persisted_epoch >= completion epoch + 2,
 //               i.e. acknowledgements imply durability (strict-DL
 //               answer-time semantics over the same buffered machinery).
-//               While a worker holds parked releases it calls
-//               EpochSys::request_advance() (group commit): the advancer
-//               ends the epoch a tenth of the epoch length after the
-//               previous transition instead of at the full length, and
-//               one transition releases every parked request of every
-//               worker. The flush stays on the advancer; kBuffered
+//               The transition that closes the completion epoch flushes
+//               it and persists that counter, so one transition releases
+//               the request. While a worker holds parked releases it
+//               calls EpochSys::request_advance() (group commit): the
+//               advancer ends the epoch a tenth of the epoch length after
+//               the previous transition instead of at the full length,
+//               and that one transition releases every parked request of
+//               every worker. The flush stays on the advancer; kBuffered
 //               stores never request a transition.
 //
 // Shutdown (close()) drains: workers finish every queued request, parked

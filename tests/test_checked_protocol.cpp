@@ -311,6 +311,28 @@ TEST(CheckedProtocol, UnbalancedEpochOpTrapsAbortWithoutBegin) {
             std::string::npos);
 }
 
+TEST(CheckedProtocol, UnbalancedEpochOpTrapsTransitionInsideOp) {
+  SKIP_UNLESS_CHECKED();
+  Capture cap;
+  Env env(tiny());
+  const std::uint64_t e = env.es->beginOp();
+  // A transition drains the epoch it closes, this thread's open operation
+  // included: each call traps and returns without one instead of hanging.
+  env.es->advance();
+  env.es->persist_all();
+  ASSERT_EQ(cap.hits.size(), 2u);
+  EXPECT_EQ(cap.hits[0].first, checked::Rule::kUnbalancedEpochOp);
+  EXPECT_NE(cap.hits[0].second.find("advance"), std::string::npos);
+  EXPECT_EQ(cap.hits[1].first, checked::Rule::kUnbalancedEpochOp);
+  EXPECT_NE(cap.hits[1].second.find("persist_all"), std::string::npos);
+  EXPECT_EQ(env.es->current_epoch(), e);
+  EXPECT_EQ(env.es->stats().epochs_advanced.load(), 0u);
+  env.es->endOp();
+  env.es->advance();  // nothing open: a clean transition
+  EXPECT_EQ(env.es->current_epoch(), e + 1);
+  EXPECT_EQ(cap.hits.size(), 2u);
+}
+
 // ---------------------------------------------------------------------------
 // no-obs-in-tx
 

@@ -253,7 +253,9 @@ struct StaleBatchRun {
 // `ops`, one of which puts key 5, under its stale envelope. The
 // structure must throw EnvelopeRestart and run_envelope must re-apply
 // the ops not yet applied under a fresh epoch. Keys 5 and 7 exist
-// beforehand; t1's put of key 5 must be the last write.
+// beforehand; t1's put of key 5 must be the last write. The advance runs
+// on a helper thread: it publishes e+1 and then waits for T1's envelope,
+// the straggler in e, which closes only when it restarts.
 StaleBatchRun run_stale_batch(svc::Backend b,
                               std::vector<epoch::BatchOp> ops) {
   SvcWorld w(/*manual_epochs=*/true);
@@ -286,12 +288,14 @@ StaleBatchRun run_stale_batch(svc::Backend b,
   while (phase.load(std::memory_order_acquire) != 1) {
     std::this_thread::yield();
   }
-  // One advance only: a second would block in step 1 waiting out t1's
-  // open envelope in e0. Current becomes e0+1; the overwrite stamps it.
-  w.es->advance();
+  // The transition publishes e0+1 and then drains t1's envelope, so it
+  // cannot finish before phase 2; the overwrite stamps e0+1 meanwhile.
+  std::thread adv([&] { w.es->advance(); });
+  while (w.es->current_epoch() == e0) std::this_thread::yield();
   EXPECT_FALSE(shard.insert(5, 51));  // overwrite at the newer epoch
   phase.store(2, std::memory_order_release);
   t1.join();
+  adv.join();
 
   EXPECT_EQ(shard.find(5), std::optional<std::uint64_t>{55})
       << "t1's put is the last write";
@@ -442,10 +446,40 @@ TEST(Svc, DurableReleaseImpliesPersistence) {
   }
 }
 
+TEST(Svc, DurableAckNeedsOneTransition) {
+  // A kDurable put parked by the worker resolves at the first transition
+  // after its batch: the one that closes its epoch persists
+  // complete_epoch + 2. No advancer runs, so nothing else moves it.
+  SvcWorld w(/*manual_epochs=*/true);
+  svc::KVStoreConfig cfg = small_cfg(svc::Backend::kHash);
+  cfg.release = svc::ReleasePolicy::kDurable;
+  svc::KVStore store(*w.es, cfg);
+  svc::Request r = svc::Request::put(7, 70);
+  ASSERT_TRUE(store.submit(0, &r));
+  // The batch counter moves after the envelope closes, so the transition
+  // below closes the put's epoch.
+  while (store.batches_total() == 0) std::this_thread::yield();
+  EXPECT_NE(r.state.load(), svc::Request::kDone) << "released before durable";
+  w.es->advance();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (r.state.load() != svc::Request::kDone &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(r.state.load(), svc::Request::kDone)
+      << "still parked after one transition";
+  EXPECT_EQ(r.status, svc::Status::kOk);
+  EXPECT_EQ(w.es->stats().epochs_advanced.load(), 1u);
+  EXPECT_GE(w.es->persisted_epoch(), r.complete_epoch + 2)
+      << "kDurable acknowledgement implies durability";
+  store.close();
+}
+
 TEST(Svc, DurableAckEndsEpochEarly) {
   // Group commit: a parked kDurable release asks the advancer for the
-  // next transition, so the ack needs two transitions a tenth of the 1 s
-  // epoch apart instead of one to two full epochs.
+  // next transition, so the ack needs one transition, a tenth of the 1 s
+  // epoch after the previous one, instead of up to a full epoch.
   SvcWorld w(/*manual_epochs=*/false, /*epoch_length_us=*/1'000'000);
   svc::KVStoreConfig cfg = small_cfg(svc::Backend::kHash);
   cfg.release = svc::ReleasePolicy::kDurable;

@@ -347,7 +347,7 @@ TEST_F(VebTest, UpdateInNewEpochRecoversOldValueIfNotPersisted) {
   env.es->persist_all();
   env.tree->insert(9, 901);  // out-of-place replace in a newer epoch
   auto t2 = env.crash_and_recover(12);
-  EXPECT_EQ(t2->find(9), 900u);  // recovers the e-2-consistent value
+  EXPECT_EQ(t2->find(9), 900u);  // recovers the frontier-consistent value
 }
 
 TEST_F(VebTest, MultiThreadedRecoveryMatchesSingleThreaded) {
