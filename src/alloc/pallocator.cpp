@@ -131,7 +131,8 @@ void PAllocator::write_meta(BlockHeader* hdr, BlockStatus status,
                                d << BlockHeader::kDeleteShift;
   const auto block_off = static_cast<std::uint64_t>(
       reinterpret_cast<std::byte*>(hdr) - dev_.base());
-  hdr->meta = fields | header_tag(fields, block_off) << BlockHeader::kTagShift;
+  hdr->store_meta(fields |
+                  header_tag(fields, block_off) << BlockHeader::kTagShift);
   dev_.mark_dirty(&hdr->meta, sizeof(hdr->meta));
 }
 
@@ -250,7 +251,7 @@ bool PAllocator::validate_header(const BlockHeader* hdr) const {
     return false;
   }
   if (hdr->size_class() != sb->size_class) return false;
-  return hdr->tag() == header_tag(hdr->meta, block_off);
+  return hdr->tag() == header_tag(hdr->load_meta(), block_off);
 }
 
 void PAllocator::quarantine_block(BlockHeader* hdr) {

@@ -68,6 +68,13 @@ enum class BlockStatus : std::uint32_t {
 /// transactions, where recomputing a tag is impossible — so recovery
 /// validates it by range instead (kInvalidEpoch or below the persisted
 /// horizon). Read word 1 only through the accessors below.
+///
+/// Word 1 is read and written concurrently: the thread that linked a
+/// block reads its class after commit (pTrack sizes the flush by it)
+/// while a thread that unlinked it already stores the retired state
+/// (pRetire). Both sides go through relaxed atomic_ref, each one 8-byte
+/// load or store: the class bits never change, and every status change
+/// is ordered by the epoch protocol, not by this word.
 struct BlockHeader {
   static constexpr unsigned kClassShift = 2;
   static constexpr unsigned kDeleteShift = 6;
@@ -82,13 +89,26 @@ struct BlockHeader {
   std::uint64_t create_epoch;
   std::uint64_t meta;
 
-  BlockStatus st() const { return static_cast<BlockStatus>(meta & 3); }
-  std::size_t size_class() const { return (meta >> kClassShift) & 0xf; }
+  /// Word 1, loaded once.
+  std::uint64_t load_meta() const {
+    return std::atomic_ref<std::uint64_t>(const_cast<std::uint64_t&>(meta))
+        .load(std::memory_order_relaxed);
+  }
+  void store_meta(std::uint64_t m) {
+    std::atomic_ref<std::uint64_t>(meta).store(m, std::memory_order_relaxed);
+  }
+
+  BlockStatus st() const {
+    return static_cast<BlockStatus>(load_meta() & 3);
+  }
+  std::size_t size_class() const {
+    return (load_meta() >> kClassShift) & 0xf;
+  }
   std::uint64_t delete_epoch() const {
-    const std::uint64_t d = (meta >> kDeleteShift) & kNoDelete;
+    const std::uint64_t d = (load_meta() >> kDeleteShift) & kNoDelete;
     return d == kNoDelete ? kInvalidEpoch : d;
   }
-  std::uint64_t tag() const { return meta >> kTagShift; }
+  std::uint64_t tag() const { return load_meta() >> kTagShift; }
 };
 static_assert(sizeof(BlockHeader) == 16);
 static_assert(kCacheLineSize % alignof(std::max_align_t) == 0 &&

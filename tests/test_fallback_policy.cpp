@@ -14,9 +14,9 @@
 #include <thread>
 #include <vector>
 
+#include "bdl_world.hpp"
 #include "common/checked.hpp"
 #include "common/rng.hpp"
-#include "epoch/epoch_sys.hpp"
 #include "hash/bd_spash.hpp"
 #include "hash/spash.hpp"
 #include "htm/engine.hpp"
@@ -191,21 +191,6 @@ TEST_F(GlobalPolicyUsersTest, HTMMwCASFallbackTakesTheOneStripe) {
 
 // ---- Global == striped result equivalence ----
 
-struct PolicyWorld {
-  PolicyWorld() {
-    nvm::DeviceConfig cfg;
-    cfg.capacity = 64ull << 20;
-    dev = std::make_unique<nvm::Device>(cfg);
-    pa = std::make_unique<alloc::PAllocator>(*dev);
-    epoch::EpochSys::Config ecfg;
-    ecfg.start_advancer = false;
-    es = std::make_unique<epoch::EpochSys>(*pa, ecfg);
-  }
-  std::unique_ptr<nvm::Device> dev;
-  std::unique_ptr<alloc::PAllocator> pa;
-  std::unique_ptr<epoch::EpochSys> es;
-};
-
 // Drive the same deterministic op sequence — with every transaction
 // forced onto the fallback path via certain spurious aborts — through a
 // global-policy and a striped-policy BD-Spash plus a std::map oracle.
@@ -216,7 +201,7 @@ TEST_F(FallbackPolicyTest, GlobalAndStripedAgreeWithOracleUnderFallbacks) {
   ecfg.spurious_abort_prob = 1.0;  // every attempt aborts => all fallback
   htm::configure(ecfg);
 
-  PolicyWorld w_global, w_striped;
+  test::World w_global, w_striped;
   hash::BDSpash m_global(*w_global.es, /*initial_depth=*/4,
                          sizeof(epoch::KVPair),
                          hash::BDSpash::PersistRouting::kHybrid,
@@ -312,73 +297,28 @@ TEST_F(FallbackPolicyTest, StripedFallbackPathIsCrashConsistent) {
   ecfg.spurious_abort_prob = 1.0;
   htm::configure(ecfg);
 
-  nvm::DeviceConfig cfg;
-  cfg.capacity = 64ull << 20;
+  nvm::DeviceConfig cfg = test::strict_device();
   cfg.dirty_survival = 0.3;
   cfg.pending_survival = 0.7;
   cfg.crash_seed = 0xfa11;
-  auto dev = std::make_unique<nvm::Device>(cfg);
-  auto pa = std::make_unique<alloc::PAllocator>(*dev);
-  epoch::EpochSys::Config esc;
-  esc.start_advancer = false;
-  auto es = std::make_unique<epoch::EpochSys>(*pa, esc);
-
-  using Oracle = std::map<std::uint64_t, std::uint64_t>;
-  std::map<std::uint64_t, Oracle> at_epoch_end;
-  Oracle oracle;
-  {
-    hash::BDSpash m(*es, /*initial_depth=*/4, sizeof(epoch::KVPair),
-                    hash::BDSpash::PersistRouting::kHybrid,
-                    /*fallback_stripes=*/16);
-    Rng rng(0xbeef);
-    for (int i = 0; i < 1200; ++i) {
-      const std::uint64_t k = rng.next_below(1 << 10);
-      if (rng.next_below(3) == 0) {
-        m.remove(k);
-        oracle.erase(k);
-      } else {
-        const std::uint64_t v = 1 + rng.next_below(1u << 30);
-        m.insert(k, v);
-        oracle[k] = v;
-      }
-      if (rng.next_below(16) == 0) {
-        at_epoch_end[es->current_epoch()] = oracle;
-        es->advance();
-      }
-    }
-    at_epoch_end[es->current_epoch()] = oracle;
-  }
+  test::World w(cfg);
+  const auto make = [&] {
+    return std::make_unique<hash::BDSpash>(
+        *w.es, /*initial_depth=*/4, sizeof(epoch::KVPair),
+        hash::BDSpash::PersistRouting::kHybrid, /*fallback_stripes=*/16);
+  };
+  auto m = make();
+  const test::Snapshots snaps =
+      test::drive_random(*m, *w.es, 1200, 0xbeef, 1 << 10);
   ASSERT_GT(htm::collect_stats().fallback_acquisitions, 0u);
-  const auto frontier =
-      epoch::EpochSys::recovery_frontier(es->persisted_epoch());
+  const std::uint64_t frontier = w.frontier();
 
-  es.reset();
-  dev->simulate_crash();
-  pa = std::make_unique<alloc::PAllocator>(*dev,
-                                           alloc::PAllocator::Mode::kAttach);
-  epoch::EpochSys::Config esc2;
-  esc2.start_advancer = false;
-  esc2.attach = true;
-  es = std::make_unique<epoch::EpochSys>(*pa, esc2);
-  hash::BDSpash rec(*es, /*initial_depth=*/4, sizeof(epoch::KVPair),
-                    hash::BDSpash::PersistRouting::kHybrid,
-                    /*fallback_stripes=*/16);
-  rec.recover();
-
-  Oracle expect;
-  for (const auto& [e, s] : at_epoch_end) {
-    if (e <= frontier) expect = s;
-  }
-  for (const auto& [k, v] : expect) {
-    auto got = rec.find(k);
-    ASSERT_TRUE(got.has_value()) << "lost key " << k;
-    ASSERT_EQ(*got, v) << "wrong value for key " << k;
-  }
-  for (std::uint64_t k = 0; k < (1 << 10); ++k) {
-    if (expect.count(k) == 0) {
-      ASSERT_FALSE(rec.find(k).has_value()) << "phantom key " << k;
-    }
-  }
+  m.reset();
+  w.crash_and_attach();
+  m = make();
+  m->recover();
+  test::verify_exact(test::finder(*m), test::snapshot_at(snaps, frontier),
+                     1 << 10);
 }
 
 // ---- Watchdog × striped fallback interaction ----

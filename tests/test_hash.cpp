@@ -1,17 +1,16 @@
 // Tests for the hash-table family (Fig. 6): Spash, BD-Spash, CCEH and
 // Plush — shared map semantics, splits/doubling/level-overflow paths,
 // concurrency, hot/cold routing, and the durability level each table
-// promises (strict DL for CCEH/Plush, BDL for BD-Spash, eADR-dependent
-// for Spash).
+// promises (strict DL for CCEH/Plush, eADR-dependent for Spash). BD-Spash's
+// BDL contract is in test_bdl_contract.cpp.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <thread>
 #include <vector>
 
+#include "bdl_world.hpp"
 #include "common/rng.hpp"
-#include "epoch/epoch_sys.hpp"
 #include "hash/bd_spash.hpp"
 #include "hash/cceh.hpp"
 #include "hash/plush.hpp"
@@ -145,37 +144,10 @@ TEST_F(SpashTest, EadrCrashKeepsEverything) {
 }
 
 // ---- BD-Spash ----
-
-struct BdsEnv {
-  explicit BdsEnv(bool advancer = false, bool eadr = false,
-                  std::size_t block_bytes = 16) {
-    dev = std::make_unique<nvm::Device>(strict_cfg(128ull << 20, eadr));
-    pa = std::make_unique<alloc::PAllocator>(*dev);
-    epoch::EpochSys::Config cfg;
-    cfg.start_advancer = advancer;
-    cfg.epoch_length_us = 1000;
-    es = std::make_unique<epoch::EpochSys>(*pa, cfg);
-    m = std::make_unique<BDSpash>(*es, 4, block_bytes);
-  }
-  std::unique_ptr<BDSpash> crash_and_recover(int threads = 1) {
-    m.reset();
-    es.reset();
-    dev->simulate_crash();
-    pa = std::make_unique<alloc::PAllocator>(*dev,
-                                             alloc::PAllocator::Mode::kAttach);
-    epoch::EpochSys::Config cfg;
-    cfg.start_advancer = false;
-    cfg.attach = true;
-    es = std::make_unique<epoch::EpochSys>(*pa, cfg);
-    auto out = std::make_unique<BDSpash>(*es);
-    out->recover(threads);
-    return out;
-  }
-  std::unique_ptr<nvm::Device> dev;
-  std::unique_ptr<alloc::PAllocator> pa;
-  std::unique_ptr<epoch::EpochSys> es;
-  std::unique_ptr<BDSpash> m;
-};
+//
+// The BDL contract (crash recovery, epochs, reclamation, no persist on
+// the operation path) runs on every backend in test_bdl_contract.cpp;
+// these are BD-Spash's layout and persistence routing.
 
 class BDSpashTest : public ::testing::Test {
  protected:
@@ -185,95 +157,43 @@ class BDSpashTest : public ::testing::Test {
   }
 };
 
-TEST_F(BDSpashTest, ReferenceSemanticsAcrossEpochs) {
-  BdsEnv env;
-  std::map<std::uint64_t, std::uint64_t> ref;
-  Rng rng(83);
-  for (int i = 0; i < 6000; ++i) {
-    const std::uint64_t k = rng.next_below(2048);
-    switch (rng.next_below(3)) {
-      case 0: {
-        const std::uint64_t v = rng.next_below(std::uint64_t{1} << 40);
-        ASSERT_EQ(env.m->insert(k, v), ref.insert_or_assign(k, v).second);
-        break;
-      }
-      case 1:
-        ASSERT_EQ(env.m->remove(k), ref.erase(k) > 0);
-        break;
-      default: {
-        auto got = env.m->find(k);
-        auto it = ref.find(k);
-        ASSERT_EQ(got.has_value(), it != ref.end());
-        if (got && it != ref.end()) {
-          ASSERT_EQ(*got, it->second);
-        }
-      }
-    }
-    if (i % 512 == 511) env.es->advance();
-  }
-}
-
 TEST_F(BDSpashTest, GrowsUnderLoad) {
-  BdsEnv env;
-  for (std::uint64_t k = 0; k < 20000; ++k) env.m->insert(k, k);
-  for (std::uint64_t k = 0; k < 20000; k += 11) ASSERT_EQ(env.m->find(k), k);
+  test::World w;
+  BDSpash m(*w.es);
+  for (std::uint64_t k = 0; k < 20000; ++k) m.insert(k, k);
+  for (std::uint64_t k = 0; k < 20000; k += 11) ASSERT_EQ(m.find(k), k);
 }
 
-TEST_F(BDSpashTest, ConcurrentWithAdvancer) {
-  BdsEnv env(/*advancer=*/true);
-  check_concurrent_disjoint(*env.m, 4, 3000);
-}
-
-TEST_F(BDSpashTest, PersistedStateSurvivesCrash) {
-  BdsEnv env;
-  for (std::uint64_t k = 0; k < 300; ++k) env.m->insert(k, k * 5);
-  env.es->persist_all();
-  auto rec = env.crash_and_recover();
-  for (std::uint64_t k = 0; k < 300; ++k) ASSERT_EQ(rec->find(k), k * 5);
-}
-
-TEST_F(BDSpashTest, UnpersistedTailDroppedAndRemoveResurrects) {
-  BdsEnv env;
-  for (std::uint64_t k = 0; k < 100; ++k) env.m->insert(k, k);
-  env.es->persist_all();
-  for (std::uint64_t k = 100; k < 200; ++k) env.m->insert(k, k);
-  env.m->remove(5);  // in the unpersisted epoch
-  auto rec = env.crash_and_recover(/*threads=*/2);
-  for (std::uint64_t k = 0; k < 100; ++k) ASSERT_TRUE(rec->find(k)) << k;
-  for (std::uint64_t k = 100; k < 200; ++k) {
-    ASSERT_FALSE(rec->find(k).has_value()) << k;
-  }
-  EXPECT_EQ(rec->find(5), 5u);  // the un-persisted remove un-happened
-}
-
-TEST_F(BDSpashTest, NoCriticalPathPersistsForSmallValues) {
-  BdsEnv env;
-  env.m->insert(9999, 1);  // warm allocator superblocks
-  const auto fences = env.dev->stats().fences.load();
-  for (std::uint64_t k = 0; k < 64; ++k) env.m->insert(k, k);
-  EXPECT_LE(env.dev->stats().fences.load() - fences, 8u);
+TEST_F(BDSpashTest, ConcurrentSplitsWithAdvancer) {
+  epoch::EpochSys::Config ecfg;
+  ecfg.epoch_length_us = 1000;
+  test::World w(test::strict_device(), ecfg);
+  BDSpash m(*w.es);
+  check_concurrent_disjoint(m, 4, 3000);
 }
 
 TEST_F(BDSpashTest, LargeColdBlocksPersistImmediately) {
-  BdsEnv env(false, false, /*block_bytes=*/kXPLineSize);
-  const auto before = env.dev->stats().clwbs.load();
+  test::World w;
+  BDSpash m(*w.es, 4, /*value_block_bytes=*/kXPLineSize);
+  const auto before = w.dev->stats().clwbs.load();
   // Hot threshold is 8 touches; single-touch keys stay cold.
-  for (std::uint64_t k = 0; k < 64; ++k) env.m->insert(k, k);
-  EXPECT_GT(env.dev->stats().clwbs.load() - before, 64u);
+  for (std::uint64_t k = 0; k < 64; ++k) m.insert(k, k);
+  EXPECT_GT(w.dev->stats().clwbs.load() - before, 64u);
 }
 
 TEST_F(BDSpashTest, RunsOnEadrWithoutEpochFlushes) {
-  BdsEnv env(false, /*eadr=*/true);
-  EXPECT_FALSE(env.es->buffering_enabled());
-  for (std::uint64_t k = 0; k < 200; ++k) env.m->insert(k, k + 1);
-  env.es->advance();
-  env.es->advance();
-  EXPECT_EQ(env.dev->stats().media_line_writes.load(), 0u);
-  env.dev->simulate_crash();  // persistent cache: nothing lost
-  for (std::uint64_t k = 0; k < 200; ++k) {
-    // The DRAM index is gone after a crash; recovery rebuilds it.
-    break;  // index death is exercised in crash_and_recover tests
-  }
+  nvm::DeviceConfig dcfg = test::strict_device();
+  dcfg.eadr = true;
+  test::World w(dcfg);
+  auto m = test::make<BDSpash>(*w.es);
+  EXPECT_FALSE(w.es->buffering_enabled());
+  for (std::uint64_t k = 0; k < 200; ++k) m->insert(k, k + 1);
+  w.es->advance();
+  w.es->advance();
+  EXPECT_EQ(w.dev->stats().media_line_writes.load(), 0u);
+  // The persistent cache loses nothing; recovery rebuilds the DRAM index.
+  m = test::crash_and_recover(w, std::move(m));
+  for (std::uint64_t k = 0; k < 200; ++k) ASSERT_EQ(m->find(k), k + 1) << k;
 }
 
 // ---- CCEH ----

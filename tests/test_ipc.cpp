@@ -30,14 +30,12 @@
 #include <thread>
 #include <vector>
 
-#include "epoch/epoch_sys.hpp"
+#include "bdl_world.hpp"
 #include "ipc/client.hpp"
 #include "ipc/server.hpp"
-#include "nvm/device.hpp"
 #include "obs/metrics.hpp"
 #include "obs/shm_stats.hpp"
 #include "obs/trace.hpp"
-#include "svc/kvstore.hpp"
 
 namespace bdhtm {
 namespace {
@@ -62,36 +60,14 @@ std::uint64_t value_of(std::uint64_t key) {
   return splitmix64_local(key) | 1;
 }
 
-struct IpcWorld {
-  IpcWorld() {
-    nvm::DeviceConfig dcfg;
-    dcfg.capacity = 32ull << 20;
-    dcfg.dirty_survival = 0.0;
-    dcfg.pending_survival = 0.0;
-    dev = std::make_unique<nvm::Device>(dcfg);
-    pa = std::make_unique<alloc::PAllocator>(*dev);
-    epoch::EpochSys::Config ecfg;
-    ecfg.epoch_length_us = 500;  // fast durable release for kDurable acks
-    ecfg.flusher_threads = 1;
-    es = std::make_unique<epoch::EpochSys>(*pa, ecfg);
-  }
+using test::World;
 
-  void crash_and_attach() {
-    es.reset();
-    dev->simulate_crash();
-    pa = std::make_unique<alloc::PAllocator>(*dev,
-                                             alloc::PAllocator::Mode::kAttach);
-    epoch::EpochSys::Config ecfg;
-    ecfg.start_advancer = false;
-    ecfg.flusher_threads = 1;
-    ecfg.attach = true;
-    es = std::make_unique<epoch::EpochSys>(*pa, ecfg);
-  }
-
-  std::unique_ptr<nvm::Device> dev;
-  std::unique_ptr<alloc::PAllocator> pa;
-  std::unique_ptr<epoch::EpochSys> es;
-};
+World ipc_world() {
+  epoch::EpochSys::Config ecfg;
+  ecfg.epoch_length_us = 500;  // fast durable release for kDurable acks
+  ecfg.flusher_threads = 1;
+  return World(test::strict_device(32ull << 20), ecfg);
+}
 
 svc::KVStoreConfig ipc_store_cfg(int sessions) {
   svc::KVStoreConfig cfg;
@@ -180,7 +156,7 @@ std::uint64_t counter_total(const char* name) {
 // ---------------------------------------------------------------------
 // In-process round trip: slot state machine, typed statuses, goodbye.
 TEST(Ipc, InProcessRoundTrip) {
-  IpcWorld w;
+  World w = ipc_world();
   svc::KVStore store(*w.es, ipc_store_cfg(2));
   const std::string dir = make_rendezvous_dir();
   ipc::ShmServer::Config scfg;
@@ -218,7 +194,7 @@ TEST(Ipc, InProcessRoundTrip) {
 // slot keeps the test independent of when the session scans: there is
 // only ever one request to pick.
 TEST(Ipc, ClientSideShedAndTypedRejection) {
-  IpcWorld w;
+  World w = ipc_world();
   svc::KVStoreConfig cfg = ipc_store_cfg(2);
   cfg.start_workers = false;
   svc::KVStore store(*w.es, cfg);
@@ -265,7 +241,7 @@ TEST(Ipc, ClientSideShedAndTypedRejection) {
 // verdict; a valid client still connects afterwards (the acceptor never
 // wedges on garbage).
 TEST(Ipc, RefusesRegistryFullAndGarbageArenas) {
-  IpcWorld w;
+  World w = ipc_world();
   svc::KVStore store(*w.es, ipc_store_cfg(1));
   const std::string dir = make_rendezvous_dir();
   const std::uint64_t refused0 = counter_total("ipc.sessions.refused");
@@ -321,7 +297,7 @@ TEST(Ipc, RefusesRegistryFullAndGarbageArenas) {
 // contains every acknowledged durable put from every client, dead or
 // alive (release policy kDurable: an ack IS a durability promise).
 TEST(Ipc, NeverWedgeUnderClientKillStorm) {
-  IpcWorld w;
+  World w = ipc_world();
   svc::KVStoreConfig dcfg = ipc_store_cfg(8);
   dcfg.release = svc::ReleasePolicy::kDurable;
   auto store = std::make_unique<svc::KVStore>(*w.es, dcfg);
@@ -481,7 +457,7 @@ TEST(Ipc, NeverWedgeUnderClientKillStorm) {
 // reclaimed when the lease expires (deadman contract); the client's
 // next call reports ServerGone instead of hanging.
 TEST(Ipc, LeaseExpiryReclaimsSilentClient) {
-  IpcWorld w;
+  World w = ipc_world();
   svc::KVStore store(*w.es, ipc_store_cfg(2));
   const std::string dir = make_rendezvous_dir();
   const std::uint64_t lease0 = counter_total("ipc.lease_expirations");
@@ -526,7 +502,7 @@ TEST(Ipc, ServerCrashRecoversAcknowledgedPrefix) {
   // trigger_at counted from there: a freeze before that point leaves no
   // ack inside the recovery frontier, and the run would check nothing.
   // Appends every client's ack log to `logs`.
-  auto drive = [&](IpcWorld& w, int nclients, int ops, const char* tag,
+  auto drive = [&](World& w, int nclients, int ops, const char* tag,
                    int rounds, const nvm::FaultPlan* plan,
                    std::vector<std::string>& logs) -> bool {
     svc::KVStore store(*w.es, ipc_store_cfg(4));
@@ -586,7 +562,7 @@ TEST(Ipc, ServerCrashRecoversAcknowledgedPrefix) {
 #endif
   std::uint64_t evictions = 0;
   {
-    IpcWorld w;
+    World w = ipc_world();
     std::vector<std::string> logs;
     ASSERT_TRUE(drive(w, 2, kOps, "p", 1, nullptr, logs));
     evictions = w.dev->fault_events(nvm::FaultEvent::kEviction);
@@ -596,7 +572,7 @@ TEST(Ipc, ServerCrashRecoversAcknowledgedPrefix) {
   nvm::FaultPlan plan;
   plan.event = nvm::FaultEvent::kEviction;
   plan.trigger_at = evictions / 2;
-  IpcWorld w;
+  World w = ipc_world();
   // The armed run needn't ack every op (the media freezes mid-run and
   // timing shifts); the oracle is built from what WAS acked. It can also
   // evict fewer lines than the profile run did, so up to 8 extra rounds
@@ -696,7 +672,7 @@ std::vector<CliEv> parse_client_trace(const std::string& path) {
 TEST(Ipc, RequestSpansMergeMonotonicallyAcrossProcesses) {
   obs::reset_traces();
   obs::set_tracing(true);
-  IpcWorld w;
+  World w = ipc_world();
   svc::KVStore store(*w.es, ipc_store_cfg(2));
   const std::string dir = make_rendezvous_dir();
   ipc::ShmServer::Config scfg;
@@ -798,7 +774,7 @@ TEST(Ipc, RequestSpansMergeMonotonicallyAcrossProcesses) {
 // session rows — and the span/counter totals must reconcile.
 TEST(Ipc, LiveStatsSegmentReflectsServedLoad) {
   obs::Registry::global().reset();
-  IpcWorld w;
+  World w = ipc_world();
   svc::KVStore store(*w.es, ipc_store_cfg(2));
   const std::string dir = make_rendezvous_dir();
   ipc::ShmServer::Config scfg;

@@ -1,17 +1,16 @@
 // Tests for the skiplist family: shared map semantics across all four
 // MwCAS regimes (typed test suite), concurrency stress, DL-Skiplist
-// strict durability, BDL-Skiplist buffered durability and recovery.
+// strict durability and BDL-Skiplist's relink order. BDL-Skiplist's BDL
+// contract is in test_bdl_contract.cpp.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <map>
 #include <memory>
-#include <set>
 #include <thread>
 #include <vector>
 
+#include "bdl_world.hpp"
 #include "common/rng.hpp"
-#include "epoch/epoch_sys.hpp"
 #include "epoch/kvpair.hpp"
 #include "htm/engine.hpp"
 #include "nvm/device.hpp"
@@ -245,163 +244,9 @@ TEST(DLSkiplistTest, PersistCostOnCriticalPath) {
 }
 
 // ---- BDL-Skiplist ----
-
-struct BdlEnv {
-  explicit BdlEnv(bool advancer = false) : dev(strict_cfg()), pa(dev) {
-    epoch::EpochSys::Config cfg;
-    cfg.start_advancer = advancer;
-    cfg.epoch_length_us = 1000;
-    es = std::make_unique<epoch::EpochSys>(pa, cfg);
-    sl = std::make_unique<BDLSkiplist>(*es);
-  }
-  std::unique_ptr<BDLSkiplist> crash_and_recover(int threads = 1) {
-    es_att.reset();
-    sl.reset();
-    es.reset();
-    dev.simulate_crash();
-    pa_att = std::make_unique<alloc::PAllocator>(
-        dev, alloc::PAllocator::Mode::kAttach);
-    epoch::EpochSys::Config cfg;
-    cfg.start_advancer = false;
-    cfg.attach = true;
-    es_att = std::make_unique<epoch::EpochSys>(*pa_att, cfg);
-    auto out = std::make_unique<BDLSkiplist>(*es_att);
-    out->recover(threads);
-    return out;
-  }
-  nvm::Device dev;
-  alloc::PAllocator pa;
-  std::unique_ptr<alloc::PAllocator> pa_att;
-  std::unique_ptr<epoch::EpochSys> es, es_att;
-  std::unique_ptr<BDLSkiplist> sl;
-};
-
-TEST(BDLSkiplistTest, Basics) {
-  BdlEnv env;
-  EXPECT_TRUE(env.sl->insert(3, 30));
-  EXPECT_EQ(env.sl->find(3), 30u);
-  EXPECT_FALSE(env.sl->insert(3, 31));
-  EXPECT_EQ(env.sl->find(3), 31u);
-  EXPECT_TRUE(env.sl->remove(3));
-  EXPECT_FALSE(env.sl->find(3).has_value());
-}
-
-TEST(BDLSkiplistTest, MatchesReferenceAcrossEpochs) {
-  BdlEnv env;
-  std::map<std::uint64_t, std::uint64_t> ref;
-  Rng rng(41);
-  for (int i = 0; i < 4000; ++i) {
-    const std::uint64_t k = rng.next_below(512);
-    switch (rng.next_below(3)) {
-      case 0: {
-        const std::uint64_t v = rng.next();
-        EXPECT_EQ(env.sl->insert(k, v), ref.insert_or_assign(k, v).second);
-        break;
-      }
-      case 1:
-        EXPECT_EQ(env.sl->remove(k), ref.erase(k) > 0);
-        break;
-      default: {
-        auto got = env.sl->find(k);
-        auto it = ref.find(k);
-        EXPECT_EQ(got.has_value(), it != ref.end());
-        if (got && it != ref.end()) {
-          EXPECT_EQ(*got, it->second);
-        }
-      }
-    }
-    if (i % 256 == 255) env.es->advance();
-  }
-}
-
-TEST(BDLSkiplistTest, NoPersistInstructionsOnCriticalPath) {
-  BdlEnv env;
-  // Warm up the preallocation so alloc-side superblock persists are done.
-  env.sl->insert(999, 1);
-  env.sl->remove(999);
-  const auto clwbs = env.dev.stats().clwbs.load();
-  const auto fences = env.dev.stats().fences.load();
-  for (std::uint64_t k = 0; k < 50; ++k) env.sl->insert(k, k);
-  // Inserts may allocate fresh superblocks (which persist their header);
-  // but per-op persists must not scale with op count the way DL does.
-  EXPECT_LE(env.dev.stats().clwbs.load() - clwbs, 8u);
-  EXPECT_LE(env.dev.stats().fences.load() - fences, 8u);
-}
-
-TEST(BDLSkiplistTest, PersistedStateSurvivesCrash) {
-  BdlEnv env;
-  for (std::uint64_t k = 0; k < 150; ++k) env.sl->insert(k, k * 7);
-  env.es->persist_all();
-  auto rec = env.crash_and_recover();
-  for (std::uint64_t k = 0; k < 150; ++k) ASSERT_EQ(rec->find(k), k * 7);
-}
-
-TEST(BDLSkiplistTest, UnpersistedTailDropped) {
-  BdlEnv env;
-  for (std::uint64_t k = 0; k < 50; ++k) env.sl->insert(k, k);
-  env.es->persist_all();
-  for (std::uint64_t k = 50; k < 100; ++k) env.sl->insert(k, k);
-  auto rec = env.crash_and_recover();
-  for (std::uint64_t k = 0; k < 50; ++k) ASSERT_TRUE(rec->find(k)) << k;
-  for (std::uint64_t k = 50; k < 100; ++k) {
-    ASSERT_FALSE(rec->find(k).has_value()) << k;
-  }
-}
-
-TEST(BDLSkiplistTest, RemoveBeforePersistResurrects) {
-  BdlEnv env;
-  env.sl->insert(11, 110);
-  env.es->persist_all();
-  env.sl->remove(11);
-  auto rec = env.crash_and_recover();
-  EXPECT_EQ(rec->find(11), 110u);
-}
-
-TEST(BDLSkiplistTest, ConcurrentStressWithAdvancer) {
-  BdlEnv env(/*advancer=*/true);
-  constexpr int kThreads = 4;
-  std::vector<std::thread> ths;
-  for (int t = 0; t < kThreads; ++t) {
-    ths.emplace_back([&env, t] {
-      Rng rng(51 + t);
-      for (int i = 0; i < 2500; ++i) {
-        const std::uint64_t k = rng.next_below(256);
-        switch (rng.next_below(3)) {
-          case 0:
-            env.sl->insert(k, k + 1);
-            break;
-          case 1:
-            env.sl->remove(k);
-            break;
-          default:
-            (void)env.sl->find(k);
-        }
-      }
-    });
-  }
-  for (auto& t : ths) t.join();
-  for (std::uint64_t k = 0; k < 256; ++k) {
-    auto v = env.sl->find(k);
-    if (v) {
-      EXPECT_EQ(*v, k + 1);
-    }
-  }
-}
-
-TEST(BDLSkiplistTest, MultithreadedRecovery) {
-  BdlEnv env;
-  std::map<std::uint64_t, std::uint64_t> ref;
-  Rng rng(61);
-  for (int i = 0; i < 2000; ++i) {
-    const std::uint64_t k = rng.next_below(1 << 12);
-    const std::uint64_t v = rng.next();
-    env.sl->insert(k, v);
-    ref[k] = v;
-  }
-  env.es->persist_all();
-  auto rec = env.crash_and_recover(/*threads=*/4);
-  for (auto& [k, v] : ref) ASSERT_EQ(rec->find(k), v) << k;
-}
+//
+// The BDL contract runs on every backend in test_bdl_contract.cpp; this
+// is BDL-Skiplist's relink order.
 
 // Recovery hands an owner all its live blocks in one list, and the two
 // copies of a key can arrive in either order: the relink keeps the newer
@@ -409,14 +254,14 @@ TEST(BDLSkiplistTest, MultithreadedRecovery) {
 // first, odd keys their newer copy first; keys past 2 * kKeys have one
 // copy only.
 TEST(BDLSkiplistTest, RelinkKeepsNewerDuplicateInEitherOrder) {
-  BdlEnv env;
+  test::World w;
+  BDLSkiplist sl(*w.es);
   constexpr std::uint64_t kKeys = 5000;
   auto block = [&](std::uint64_t k, std::uint64_t v, std::uint64_t e) {
-    auto* kv =
-        static_cast<epoch::KVPair*>(env.es->pNew(sizeof(epoch::KVPair)));
+    auto* kv = static_cast<epoch::KVPair*>(w.es->pNew(sizeof(epoch::KVPair)));
     kv->key = k;
     kv->value = v;
-    epoch::EpochSys::set_epoch_nontx(env.dev, kv, e);
+    epoch::EpochSys::set_epoch_nontx(*w.dev, kv, e);
     return kv;
   };
   constexpr std::uint64_t kOld = epoch::EpochSys::kFirstEpoch;
@@ -437,10 +282,10 @@ TEST(BDLSkiplistTest, RelinkKeepsNewerDuplicateInEitherOrder) {
     }
     add(block(2 * kKeys + k, 3, kOld));
   }
-  env.sl->relink_recovered(list);
+  sl.relink_recovered(list);
   for (std::uint64_t k = 0; k < 2 * kKeys; ++k) {
-    ASSERT_EQ(env.sl->find(k), 2u) << "key " << k;
-    ASSERT_EQ(env.sl->find(2 * kKeys + k), 3u) << "key " << 2 * kKeys + k;
+    ASSERT_EQ(sl.find(k), 2u) << "key " << k;
+    ASSERT_EQ(sl.find(2 * kKeys + k), 3u) << "key " << 2 * kKeys + k;
     EXPECT_EQ(alloc::PAllocator::header_of(older[k])->st(),
               alloc::BlockStatus::kFree)
         << "older copy of key " << k << " not reclaimed";
