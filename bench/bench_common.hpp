@@ -102,6 +102,7 @@ struct EpochStatsAgg {
   std::uint64_t bytes = 0;
   std::uint64_t lines = 0;
   std::uint64_t deduped = 0;
+  std::uint64_t drain_ns = 0;
   std::uint64_t flush_ns = 0;
   std::uint64_t advance_ns = 0;
   std::uint64_t watchdog_trips = 0;
@@ -109,6 +110,7 @@ struct EpochStatsAgg {
   // Merged latency distributions across every cell's EpochSys (the
   // exporter reports p50/p95/p99 from these, not just the means above).
   obs::HistogramSnapshot advance_hist{};
+  obs::HistogramSnapshot drain_hist{};
   obs::HistogramSnapshot flush_hist{};
 };
 
@@ -124,11 +126,13 @@ inline void note_epoch_stats(const epoch::EpochStats& s) {
   a.bytes += s.bytes_flushed.load(std::memory_order_relaxed);
   a.lines += s.lines_flushed.load(std::memory_order_relaxed);
   a.deduped += s.lines_deduped.load(std::memory_order_relaxed);
+  a.drain_ns += s.drain_ns.sum();
   a.flush_ns += s.flush_ns_total();
   a.advance_ns += s.advance_ns_total();
   a.watchdog_trips += s.watchdog_trips.load(std::memory_order_relaxed);
   a.inline_advances += s.inline_advances.load(std::memory_order_relaxed);
   a.advance_hist.merge(s.advance_ns.snapshot());
+  a.drain_hist.merge(s.drain_ns.snapshot());
   a.flush_hist.merge(s.flush_ns.snapshot());
 }
 
@@ -140,12 +144,13 @@ inline void print_epoch_stats_summary() {
   std::printf(
       "epoch-stats: epochs=%llu ranges_flushed=%llu lines_flushed=%llu "
       "bytes_flushed=%llu dedup_factor=%.2f mean_advance_us=%.1f "
-      "mean_flush_us=%.1f\n",
+      "mean_drain_us=%.1f mean_flush_us=%.1f\n",
       static_cast<unsigned long long>(a.epochs),
       static_cast<unsigned long long>(a.ranges),
       static_cast<unsigned long long>(a.lines),
       static_cast<unsigned long long>(a.bytes), dedup,
       a.advance_ns / 1e3 / static_cast<double>(a.epochs),
+      a.drain_ns / 1e3 / static_cast<double>(a.epochs),
       a.flush_ns / 1e3 / static_cast<double>(a.epochs));
   if (a.watchdog_trips != 0 || a.inline_advances != 0) {
     // Nonzero means the background advancer fell behind its watchdog
@@ -424,6 +429,8 @@ inline int finish() {
   w.value(a.inline_advances);
   w.key("advance_ns");
   detail::json_histogram(w, a.advance_hist);
+  w.key("drain_ns");
+  detail::json_histogram(w, a.drain_hist);
   w.key("flush_ns");
   detail::json_histogram(w, a.flush_hist);
   w.end_object();

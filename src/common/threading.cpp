@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <cassert>
-#include <condition_variable>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -39,31 +37,45 @@ void reset_thread_ids_for_testing() {
 }
 
 struct FlusherPool::Impl {
-  std::mutex mu;
-  std::condition_variable work_cv;
-  std::condition_variable done_cv;
-  std::uint64_t generation = 0;       // bumped once per run()
-  int active_parties = 0;             // parties of the current run
-  int outstanding = 0;                // helper parts not yet finished
+  // Bumped once per run() and once at shutdown; idle helpers sleep on it.
+  std::atomic<std::uint32_t> generation{0};
+  // kOpen while part 0 runs; the low bits count the helper parts inside
+  // the job. A helper enters only an open run, and run() closes it in one
+  // atomic step, so a helper the host has not scheduled yet can neither
+  // join a closed run nor hold up the barrier (no lock stands between).
+  static constexpr std::uint32_t kOpen = std::uint32_t{1} << 31;
+  std::atomic<std::uint32_t> state{0};
+  // The current run, written before it opens. A helper reads them only
+  // once inside, and the next run() rewrites them only after every
+  // helper has left.
+  int active_parties = 0;
   const std::function<void(int)>* job = nullptr;
   std::vector<std::jthread> threads;  // last: joins before state dies
 
-  void worker(std::stop_token st, int helper_index) {
-    std::uint64_t seen = 0;
-    std::unique_lock lk(mu);
+  bool enter() {
+    std::uint32_t s = state.load(std::memory_order_relaxed);
+    do {
+      if ((s & kOpen) == 0) return false;
+    } while (!state.compare_exchange_weak(s, s + 1, std::memory_order_acquire,
+                                          std::memory_order_relaxed));
+    return true;
+  }
+
+  void worker(const std::stop_token& st, int helper_index) {
+    std::uint32_t seen = 0;
     for (;;) {
-      work_cv.wait(lk, [&] {
-        return st.stop_requested() || generation != seen;
-      });
+      generation.wait(seen, std::memory_order_acquire);
+      // Read the generation before the stop flag: the destructor raises
+      // the stop before its bump, so a helper that saw the bump sees it.
+      seen = generation.load(std::memory_order_acquire);
       if (st.stop_requested()) return;
-      seen = generation;
+      if (!enter()) continue;
+      // Inside, the run cannot change: the next one opens after we leave.
+      seen = generation.load(std::memory_order_relaxed);
       // Helper i executes part i+1 (part 0 runs on the coordinator).
-      if (helper_index + 1 < active_parties) {
-        const auto* fn = job;
-        lk.unlock();
-        (*fn)(helper_index + 1);
-        lk.lock();
-        if (--outstanding == 0) done_cv.notify_all();
+      if (helper_index + 1 < active_parties) (*job)(helper_index + 1);
+      if (state.fetch_sub(1, std::memory_order_release) == 1) {
+        state.notify_one();  // the last helper out of a closed run
       }
     }
   }
@@ -79,14 +91,9 @@ FlusherPool::FlusherPool(int workers) : impl_(std::make_unique<Impl>()) {
 }
 
 FlusherPool::~FlusherPool() {
-  {
-    // Raise the stop under mu: a helper holds mu from its predicate
-    // check until it sleeps, so a stop (and its wakeup) raised in that
-    // window without mu would be lost and the join below would hang.
-    std::scoped_lock lk(impl_->mu);
-    for (auto& t : impl_->threads) t.request_stop();
-  }
-  impl_->work_cv.notify_all();
+  for (auto& t : impl_->threads) t.request_stop();
+  impl_->generation.fetch_add(1, std::memory_order_release);
+  impl_->generation.notify_all();
   // jthread destructors join.
 }
 
@@ -101,18 +108,22 @@ void FlusherPool::run(int parties, const std::function<void(int)>& job) {
     job(0);
     return;
   }
-  {
-    std::scoped_lock lk(impl_->mu);
-    impl_->job = &job;
-    impl_->active_parties = parties;
-    impl_->outstanding = parties - 1;
-    ++impl_->generation;
-  }
-  impl_->work_cv.notify_all();
+  Impl& p = *impl_;
+  p.job = &job;
+  p.active_parties = parties;
+  p.state.store(Impl::kOpen, std::memory_order_release);
+  p.generation.fetch_add(1, std::memory_order_release);
+  p.generation.notify_all();
   job(0);
-  std::unique_lock lk(impl_->mu);
-  impl_->done_cv.wait(lk, [&] { return impl_->outstanding == 0; });
-  impl_->job = nullptr;
+  // Part 0 returns once the shared cursor is spent: close the run and
+  // wait only for the helpers already inside it.
+  std::uint32_t inside =
+      p.state.fetch_and(~Impl::kOpen, std::memory_order_acquire) &
+      ~Impl::kOpen;
+  while (inside != 0) {
+    p.state.wait(inside, std::memory_order_acquire);
+    inside = p.state.load(std::memory_order_acquire);
+  }
 }
 
 }  // namespace bdhtm

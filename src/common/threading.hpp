@@ -30,11 +30,14 @@ void reset_thread_ids_for_testing();
 /// the same shape: one coordinator that occasionally has an embarrassingly
 /// parallel batch and must barrier before proceeding.
 ///
-/// `run(parties, job)` invokes `job(0) .. job(parties-1)`; part 0 executes
-/// on the calling thread, the rest on pool threads, and the call returns
-/// only after every part finished (the barrier the epoch transition's
-/// flush-before-counter ordering needs). `parties` is clamped to
-/// `1 + workers()`. With a single party the job runs inline with zero
+/// `run(parties, job)` invokes `job(0)` on the calling thread and offers
+/// parts 1 .. parties-1 to pool threads. The parts claim their work from
+/// a cursor the job shares, so the coordinator alone can finish it: once
+/// `job(0)` returns, run() waits only for the parts that have started
+/// (the barrier the epoch transition's flush-before-counter ordering
+/// needs), and a helper that wakes later skips the run. A job must
+/// therefore never split its work by part index. `parties` is clamped to
+/// `1 + workers()`; with a single party the job runs inline with zero
 /// synchronization. Only one run() may be active at a time.
 class FlusherPool {
  public:

@@ -13,7 +13,11 @@
 namespace bdhtm::epoch {
 
 namespace {
+// An announcement slot holds kIdle or the epoch of the thread's open
+// envelope; a read envelope's carries kReaderBit. kIdle has the bit too,
+// so "the bit is clear" reads "an update operation is announced".
 constexpr std::uint64_t kIdle = ~std::uint64_t{0};
+constexpr std::uint64_t kReaderBit = std::uint64_t{1} << 63;
 
 // abortOp files an undone retire in the retired list of its epoch for the
 // header's write-back only. The tag bit (payloads are 16-byte aligned)
@@ -105,41 +109,54 @@ void EpochSys::advancer_main(const std::stop_token& st) {
   // request_stop() cut both the inter-epoch sleep and — via the
   // stop-token-aware advance() — a step-2 wait stalled behind an
   // announced thread, so destruction never hangs.
+  const auto stalled = [this] {
+    return advancer_stalled_.load(std::memory_order_relaxed);
+  };
   const auto demanded = [this] {
-    return advance_requested_.load(std::memory_order_relaxed) &&
-           !advancer_stalled_.load(std::memory_order_relaxed);
+    return advance_requested_.load(std::memory_order_relaxed);
+  };
+  const auto at = [](std::uint64_t ns) {
+    return std::chrono::steady_clock::time_point(std::chrono::nanoseconds(ns));
   };
   std::unique_lock lk(wake_mu_);
   while (!st.stop_requested()) {
-    const std::uint64_t len_us = epoch_length_us();
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::microseconds(len_us);
+    // Parked by stall_advancer_for_testing: sleep (and keep honouring
+    // stop requests) without advancing, exactly like a descheduled or
+    // dead advancer as far as workers can tell. Neither a pending request
+    // nor an epoch past its length wakes it; lifting the stall does.
+    if (stalled()) {
+      wake_cv_.wait(lk, st, [&] { return !stalled(); });
+      continue;
+    }
+    // The open epoch ends one epoch length after its publish. The clock
+    // counts from the publish stamp, not from the end of the previous
+    // transition, so a slow drain or flush does not lengthen the epoch
+    // after it.
+    const std::uint64_t e = current_epoch();
+    const std::uint64_t published =
+        epoch_begin_ns_[e % 4].load(std::memory_order_relaxed);
+    const std::uint64_t len_ns = epoch_length_us() * 1000;
+    const std::uint64_t due = published + len_ns;
+    const bool woke = wake_cv_.wait_until(
+        lk, st, at(due), [&] { return stalled() || demanded(); });
+    if (st.stop_requested()) break;
+    // Another thread's transition (advance(), a watchdog rescue) moved
+    // the clock: start over from the new epoch's stamp.
+    if (stalled() || current_epoch() != e) continue;
     // Early: a request woke the advancer before the epoch length ran out
     // (a request that is pending when the timer fires rides the timer).
-    const bool early = wake_cv_.wait_until(lk, st, deadline, demanded) &&
-                       std::chrono::steady_clock::now() < deadline;
-    if (st.stop_requested()) break;
-    // Parked by stall_advancer_for_testing: keep sleeping (and keep
-    // honouring stop requests) without advancing, exactly like a
-    // descheduled or dead advancer as far as workers can tell. A pending
-    // request stays pending; the predicate ignores it until the stall
-    // lifts, so a stalled advancer sleeps instead of spinning.
-    if (advancer_stalled_.load(std::memory_order_relaxed)) continue;
+    const bool early = woke && now_ns() < due;
     if (early) {
       // Demand cannot end an epoch sooner than a tenth of its length
-      // after the previous transition completed. The gap bounds the
-      // transition rate (and so the per-transition flush and counter
+      // after its publish. The gap caps the transition rate at ten per
+      // epoch length (and so the per-transition flush and counter
       // persist) under constant demand, and gives a requester's peers
       // time to park their writes in the epoch being closed.
-      const std::uint64_t not_before =
-          last_transition_ns_.load(std::memory_order_relaxed) +
-          len_us * 100;
-      const std::uint64_t now = now_ns();
-      if (not_before > now) {
-        wake_cv_.wait_for(lk, st, std::chrono::nanoseconds(not_before - now),
-                          [] { return false; });
+      const std::uint64_t not_before = published + len_ns / 10;
+      if (now_ns() < not_before) {
+        wake_cv_.wait_until(lk, st, at(not_before), stalled);
         if (st.stop_requested()) break;
-        if (advancer_stalled_.load(std::memory_order_relaxed)) continue;
+        if (stalled() || current_epoch() != e) continue;
       }
     }
     // Requests posted from here on ask for the transition after this one.
@@ -189,7 +206,7 @@ std::uint64_t EpochSys::persisted_epoch() const {
       .load(std::memory_order_acquire);
 }
 
-std::uint64_t EpochSys::beginOp() {
+std::uint64_t EpochSys::beginOp(Access access) {
   ThreadState& ts = tstate();
   // Epoch registration announces through seq_cst atomics — an
   // irrevocable side effect a hardware transaction cannot roll back;
@@ -208,14 +225,17 @@ std::uint64_t EpochSys::beginOp() {
   // background advancer has missed its deadline.
   if (watchdog_enabled_ && (++ts.wd_ops & 0x1F) == 0) watchdog_check(ts);
   auto& slot = announce_[thread_id()].value;
+  const bool read = access == Access::kRead;
+  const std::uint64_t tag = read ? kReaderBit : 0;
   std::uint64_t e;
   for (;;) {
     e = global_epoch_.load(std::memory_order_seq_cst);
-    slot.store(e, std::memory_order_seq_cst);
+    slot.store(e | tag, std::memory_order_seq_cst);
     if (global_epoch_.load(std::memory_order_seq_cst) == e) break;
     slot.store(kIdle, std::memory_order_seq_cst);  // raced with advance()
   }
   ts.op_epoch = e;
+  ts.op_read = read;
   ts.op_tracked.clear();
   ts.op_retired.clear();
   checked::pb_begin_op();
@@ -237,14 +257,20 @@ void EpochSys::endOp() {
   // already ran, so any published pointer whose block is still virgin
   // here will never be captured before the epoch can persist it.
   checked::pb_end_op();
-  const std::size_t slot_idx = ts.op_epoch % 4;
-  auto& tracked = ts.epoch_tracked[slot_idx];
-  tracked.insert(tracked.end(), ts.op_tracked.begin(), ts.op_tracked.end());
-  auto& retired = ts.epoch_retired[slot_idx];
-  retired.insert(retired.end(), ts.op_retired.begin(), ts.op_retired.end());
+  // Only an update operation merges into its epoch's buffers: the
+  // transition that steals them waits for it. No transition waits for a
+  // read envelope, so it must not touch them.
+  if (!ts.op_read) {
+    const std::size_t slot_idx = ts.op_epoch % 4;
+    auto& tracked = ts.epoch_tracked[slot_idx];
+    tracked.insert(tracked.end(), ts.op_tracked.begin(), ts.op_tracked.end());
+    auto& retired = ts.epoch_retired[slot_idx];
+    retired.insert(retired.end(), ts.op_retired.begin(), ts.op_retired.end());
+  }
   ts.op_tracked.clear();
   ts.op_retired.clear();
   ts.op_epoch = kInvalidEpoch;
+  ts.op_read = false;
   // The release in this store orders the buffer merges above before the
   // advancer's acquire of the announcement slot.
   announce_[thread_id()].value.store(kIdle, std::memory_order_seq_cst);
@@ -261,6 +287,7 @@ void EpochSys::abortOp() {
                        "epoch::EpochSys::abortOp (no operation open)");
     assert(checked::enabled() && "abortOp without beginOp");
   }
+  forbid_in_read(ts, "epoch::EpochSys::abortOp (read envelope)");
   checked::pb_abort_op();
   // Undo retire marks applied by the aborted operation. A line-mate's
   // write-back may have put a mark on the media, where nothing else would
@@ -276,7 +303,14 @@ void EpochSys::abortOp() {
   ts.op_tracked.clear();
   ts.op_retired.clear();
   ts.op_epoch = kInvalidEpoch;
+  ts.op_read = false;
   announce_[thread_id()].value.store(kIdle, std::memory_order_seq_cst);
+}
+
+void EpochSys::forbid_in_read(const ThreadState& ts, const char* site) {
+  if (!ts.op_read) return;
+  checked::violation(checked::Rule::kUnbalancedEpochOp, site);
+  assert(checked::enabled() && "a write inside a read envelope");
 }
 
 void* EpochSys::pNew(std::size_t size) {
@@ -287,6 +321,7 @@ void* EpochSys::pNew(std::size_t size) {
   if (checked::enabled() && htm::in_txn()) {
     checked::violation(checked::Rule::kAllocInTx, "epoch::EpochSys::pNew");
   }
+  forbid_in_read(tstate(), "epoch::EpochSys::pNew (read envelope)");
   void* p = pa_.alloc(size);
   if (checked::enabled() && p != nullptr) {
     auto* hdr = alloc::PAllocator::header_of(p);
@@ -302,9 +337,11 @@ void EpochSys::pSet(void* payload, const void* data, std::size_t len,
     assert(checked::enabled() &&
            "use Txn::store_nvm inside transactions, pTrack after commit");
   }
+  ThreadState& ts = tstate();
+  forbid_in_read(ts, "epoch::EpochSys::pSet (read envelope)");
   auto* dst = static_cast<std::byte*>(payload) + offset;
   pa_.device().write_bytes(dst, data, len);
-  tstate().op_tracked.push_back({dst, static_cast<std::uint32_t>(len)});
+  ts.op_tracked.push_back({dst, static_cast<std::uint32_t>(len)});
   if (checked::enabled()) {
     // The destination bytes enter the epoch write-set (capture); the
     // written *values* are durable content — any pointer-sized word
@@ -329,6 +366,7 @@ void EpochSys::pRetire(void* payload) {
   }
   ThreadState& ts = tstate();
   assert(ts.op_epoch != kInvalidEpoch && "pRetire outside an operation");
+  forbid_in_read(ts, "epoch::EpochSys::pRetire (read envelope)");
   pa_.set_state(alloc::PAllocator::header_of(payload),
                 alloc::BlockStatus::kDeleted, ts.op_epoch);
   ts.op_retired.push_back(payload);
@@ -354,6 +392,7 @@ void EpochSys::pTrack(void* payload) {
   }
   ThreadState& ts = tstate();
   assert(ts.op_epoch != kInvalidEpoch && "pTrack outside an operation");
+  forbid_in_read(ts, "epoch::EpochSys::pTrack (read envelope)");
   auto* hdr = alloc::PAllocator::header_of(payload);
   const std::size_t bytes = pa_.block_bytes(hdr);
   ts.op_tracked.push_back({hdr, static_cast<std::uint32_t>(bytes)});
@@ -361,9 +400,10 @@ void EpochSys::pTrack(void* payload) {
 }
 
 bool EpochSys::waits_on_self(const char* site) {
-  if (!in_op()) return false;
+  if (!in_op() || tstate().op_read) return false;
   // The transition drains the closing epoch, and the caller's own open
-  // operation is announced there: it would wait on itself forever.
+  // update operation is announced there: it would wait on itself
+  // forever. A read envelope is not drained.
   checked::violation(checked::Rule::kUnbalancedEpochOp, site);
   assert(checked::enabled() && "advance() with an operation open");
   return true;
@@ -435,45 +475,63 @@ void EpochSys::advance_locked(const std::stop_token& st,
   // (1) Publish e+1. Operations that begin from here on register in it,
   // so the closing epoch e keeps only the operations already announced
   // there (beginOp re-checks the epoch after announcing, so none slips
-  // into e behind this store). Stamp the new epoch's begin time for the
-  // persistence-lag samples.
-  global_epoch_.store(e + 1, std::memory_order_seq_cst);
+  // into e behind this store). The new epoch's publish stamp goes first,
+  // so whoever reads e+1 reads its stamp: the advancer's clock and the
+  // persistence-lag samples count from it.
   epoch_begin_ns_[(e + 1) % 4].store(t_begin, std::memory_order_relaxed);
+  global_epoch_.store(e + 1, std::memory_order_seq_cst);
 
-  // (2) Drain: wait until no thread is announced in an epoch <= e. New
-  // operations keep starting in e+1 meanwhile. Bounded exponential
-  // backoff instead of a raw yield loop: announced threads need the CPU
-  // more than the advancer does, and the stop-token check lets shutdown
-  // abandon the transition instead of hanging behind a stalled thread.
+  // (2) Drain: wait until no update operation is announced in an epoch
+  // <= e. Read envelopes write nothing to flush and are not waited for
+  // (step 5 keeps what they can reach). New operations keep starting in
+  // e+1 meanwhile. Bounded exponential backoff instead of a raw yield
+  // loop: announced threads need the CPU more than the advancer does,
+  // and the stop-token check lets shutdown abandon the transition
+  // instead of hanging behind a stalled thread.
+  const std::uint64_t t_drain = now_ns();
   const int nthreads = max_thread_id_seen();
+  std::uint64_t waited_on = 0;
   for (int t = 0; t < nthreads; ++t) {
-    auto& slot = announce_[t].value;
-    Backoff backoff;
-    while (true) {
+    const auto drained = [&, &slot = announce_[t].value] {
       const std::uint64_t a = slot.load(std::memory_order_seq_cst);
-      if (a == kIdle || a > e) break;
+      return (a & kReaderBit) != 0 || a > e;
+    };
+    if (drained()) continue;
+    ++waited_on;
+    Backoff backoff;
+    do {
       if (st.stop_requested()) return;  // abandoned: e is never persisted
       backoff.pause();
-    }
+    } while (!drained());
   }
+  stats_.drain_ns.record(now_ns() - t_drain);
+  obs::trace_complete(obs::TraceEventType::kEpochDrain, t_drain, e,
+                      waited_on);
 
   // (3) The write-back pipeline: steal the per-thread buffers of epoch e
   // (O(1) swaps with recycled spares — operation threads get their
   // capacity back and the flusher walks memory no operation thread
   // touches), then coalesce and flush them. Retired blocks are queued
-  // for reclamation one transition later; their DELETED headers join the
-  // same flush (as do abortOp's undone headers, which are not queued).
+  // for reclamation, one entry for epoch e; their DELETED headers join
+  // the same flush (as do abortOp's undone headers, which are not
+  // queued).
   const std::size_t slot_idx = e % 4;
   nvm::Device& dev = pa_.device();
   const bool do_flush = buffering_enabled();
+  std::vector<void*> retired;
+  if (!spare_free_.empty()) {
+    retired = std::move(spare_free_.back());
+    spare_free_.pop_back();
+  }
   for (int t = 0; t < nthreads; ++t) {
     ThreadState& ts = tstate_[t].value;
     ts.epoch_tracked[slot_idx].swap(stolen_tracked_[t]);
     ts.epoch_retired[slot_idx].swap(stolen_retired_[t]);
     for (void* p : stolen_retired_[t]) {
-      if (!is_header_only(p)) pending_free_[slot_idx].push_back(p);
+      if (!is_header_only(p)) retired.push_back(p);
     }
   }
+  pending_free_.push_back({e, std::move(retired)});
   std::uint64_t flushed_ranges = 0;
   if (do_flush) flushed_ranges = flush_stolen_buffers(nthreads);
   for (int t = 0; t < nthreads; ++t) {
@@ -511,24 +569,41 @@ void EpochSys::advance_locked(const std::stop_token& st,
     lag_gauge.set(static_cast<std::int64_t>(lag_us));
   }
 
-  // (5) Reclaim blocks retired in epoch e-1. Their DELETED headers are
-  // durable (flushed when the previous transition closed e-1), the
-  // persisted counter proves recovery will not resurrect them, AND no
-  // running operation can still hold a reference: an op could only have
-  // found a block that was reachable when the op began, the unlinking op
-  // ran in e-1 (while the global epoch was e-1 or e), every op
-  // overlapping it ran in an epoch <= e, and step (2) waited for those.
-  // Blocks retired in e wait for the next transition: an op of e+1 may
-  // have begun before their unlink. This one-transition delay is what
-  // makes the epoch system double as safe memory reclamation (Montage's
-  // design).
-  auto& to_free = pending_free_[(e - 1) % 4];
-  for (void* p : to_free) {
-    checked::pb_release_block(alloc::PAllocator::header_of(p));
-    pa_.free(p);
-    stats_.blocks_reclaimed.fetch_add(1, std::memory_order_relaxed);
+  // (5) Reclaim the blocks retired in each epoch x <= e-1 that no open
+  // reader can reach. Their DELETED headers are durable (flushed when the
+  // transition that closed x ran), the persisted counter proves recovery
+  // will not resurrect them, AND no running operation can still hold a
+  // reference: an op could only have found a block that was reachable
+  // when the op began, and the unlinking op ran in x (while the global
+  // epoch was x or x+1). Every update op overlapping it ran in an epoch
+  // <= x+1 <= e, and step (2) of this or an earlier transition waited for
+  // those. Readers are not drained, so x also waits until no reader is
+  // announced at or below x+1; one in x+2 or later began after the
+  // unlink. A reader that announces after this scan gets e+1 or later
+  // (beginOp re-checks the epoch). Blocks retired in e wait for the next
+  // transition: an op of e+1 may have begun before their unlink. This
+  // delay is what makes the epoch system double as safe memory
+  // reclamation (Montage's design).
+  std::uint64_t oldest_reader = kIdle;
+  for (int t = 0; t < nthreads; ++t) {
+    const std::uint64_t a = announce_[t].value.load(std::memory_order_seq_cst);
+    if (a != kIdle && (a & kReaderBit) != 0) {
+      oldest_reader = std::min(oldest_reader, a & ~kReaderBit);
+    }
   }
-  to_free.clear();
+  // The entry for e stays queued, so the loop never empties the queue.
+  while (pending_free_.front().epoch < e &&
+         pending_free_.front().epoch + 1 < oldest_reader) {
+    std::vector<void*>& to_free = pending_free_.front().blocks;
+    for (void* p : to_free) {
+      checked::pb_release_block(alloc::PAllocator::header_of(p));
+      pa_.free(p);
+      stats_.blocks_reclaimed.fetch_add(1, std::memory_order_relaxed);
+    }
+    to_free.clear();
+    spare_free_.push_back(std::move(to_free));
+    pending_free_.pop_front();
+  }
   stats_.epochs_advanced.fetch_add(1, std::memory_order_relaxed);
   if (cause == AdvanceCause::kDemand) {
     static auto& demand_counter =
@@ -606,9 +681,12 @@ std::uint64_t EpochSys::flush_stolen_buffers(int nthreads) {
   }
 
   // Fan the merged runs out across the flusher pool (runs are disjoint,
-  // so flushers never write the same media line). run() barriers before
-  // returning: nothing after this point can precede a flush, which is
-  // the step-3 -> step-4 ordering the BDL guarantee rests on.
+  // so flushers never write the same media line). Each part claims runs
+  // from a shared cursor, so a helper the host has not scheduled yet
+  // leaves its share to the parts that run. run() returns once the
+  // cursor is spent and every part that started has finished: nothing
+  // after this point can precede a flush, which is the step-3 -> step-4
+  // ordering the BDL guarantee rests on.
   const int parties = std::min<std::size_t>(
       flushers_ ? flusher_threads_ : 1, runs_.size());
   if (parties <= 1) {
@@ -619,13 +697,14 @@ std::uint64_t EpochSys::flush_stolen_buffers(int nthreads) {
     obs::trace_complete(obs::TraceEventType::kFlusherBatch, t_batch, 0,
                         runs_.size());
   } else {
+    std::atomic<std::size_t> next{0};
     flushers_->run(parties, [&](int part) {
       // Batch events land in each flusher thread's own ring — the trace
       // shows the fan-out as parallel spans on distinct track rows.
       const std::uint64_t t_batch = now_ns();
       std::uint64_t handled = 0;
-      for (std::size_t i = static_cast<std::size_t>(part); i < runs_.size();
-           i += static_cast<std::size_t>(parties)) {
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < runs_.size(); i = next.fetch_add(1, std::memory_order_relaxed)) {
         dev.flush_line_run_to_media(runs_[i].first, runs_[i].count);
         ++handled;
       }

@@ -27,13 +27,17 @@
 // Transition algorithm (advance(), executed at most one epoch length
 // apart; see "Clock" below), from global epoch e:
 //   1. publish global epoch e+1;
-//   2. wait until no thread is announced in an epoch <= e;
+//   2. wait until no update operation is announced in an epoch <= e
+//      (read envelopes, beginOp(Access::kRead), write nothing and are
+//      not waited for);
 //   3. flush every write buffered in epoch e and the DELETED headers of
 //      blocks retired in e;
 //   4. persist the epoch counter as e+2, which makes e durable (the
 //      counter names the recovery frontier + 2, see recovery_frontier);
-//   5. reclaim blocks retired in e-1: every operation that could still
-//      reach them ran in an epoch <= e, and step 2 waited for those.
+//   5. reclaim the blocks retired in each epoch x <= e-1 that no open
+//      reader can still reach: every update operation that could ran in
+//      an epoch <= e, and step 2 waited for those; a reader announced at
+//      or below x+1 may have begun before the unlink, so x waits for it.
 //
 // Step 3 runs as a write-back *pipeline* (DESIGN.md §3, "Write-back
 // pipeline"): the per-thread buffers are stolen by pointer swap, the
@@ -42,12 +46,12 @@
 // runs fan out across a small flusher pool. A barrier before step 4
 // preserves the flush-before-counter ordering the BDL proof needs.
 //
-// Clock: the background advancer starts a transition when the epoch
-// length runs out, or earlier when a durable waiter asks for one
+// Clock: the background advancer ends an epoch one epoch length after
+// its publish, or earlier when a durable waiter asks for it
 // (request_advance(), Montage's sync() without the wait). A requested
 // transition starts no sooner than a tenth of the epoch length after the
-// previous one completed, so demand caps the transition rate at ten per
-// epoch length. Write-back stays on the advancer and its flusher pool.
+// previous publish, so there are at most ten transitions per epoch
+// length. Write-back stays on the advancer and its flusher pool.
 //
 // On an eADR device (persistent cache) flushing is unnecessary; the epoch
 // system disables its write-back work and keeps only the epoch clock and
@@ -60,6 +64,7 @@
 #include <cassert>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <span>
 #include <stop_token>
@@ -88,6 +93,13 @@ enum class AdvanceCause : std::uint8_t {
   kRescue,        // a worker, after a watchdog trip (inline_advances)
 };
 
+/// What an operation envelope may do. An update envelope may write
+/// (pNew, pSet, pTrack, pRetire, abortOp) and the transition that closes
+/// its epoch waits for it. A read envelope writes nothing: it only keeps
+/// the blocks it can reach from being reclaimed, so transitions do not
+/// wait for it.
+enum class Access : std::uint8_t { kUpdate, kRead };
+
 struct EpochStats {
   std::atomic<std::uint64_t> epochs_advanced{0};
   /// Transitions the background advancer started early because a
@@ -105,6 +117,9 @@ struct EpochStats {
   /// Redundant line flushes eliminated by coalescing (duplicate or
   /// overlapping lines within one epoch's buffered writes).
   std::atomic<std::uint64_t> lines_deduped{0};
+  /// Wall time of each transition's step 2, waiting for the update
+  /// operations of the closing epoch, log-bucketed.
+  obs::Histogram drain_ns;
   /// Wall time of each flush phase of step 3 (coalesce + fan-out +
   /// barrier + drain), log-bucketed: quantiles via flush_ns.snapshot().
   obs::Histogram flush_ns;
@@ -187,10 +202,10 @@ struct LiveBlock {
 class EpochSys {
  public:
   struct Config {
-    /// Epoch length: the longest an epoch lasts. The paper's default is
-    /// 50 ms (§4), swept in Fig. 7/8. A durable waiter (request_advance())
-    /// can end an epoch once a tenth of this has passed since the
-    /// previous transition completed.
+    /// Epoch length: the longest an epoch lasts, measured from its
+    /// publish. The paper's default is 50 ms (§4), swept in Fig. 7/8. A
+    /// durable waiter (request_advance()) can end an epoch once a tenth
+    /// of this has passed since its publish.
     std::uint64_t epoch_length_us = 50'000;
     /// Spawn the background advancer. Tests drive advance() manually.
     bool start_advancer = true;
@@ -230,8 +245,11 @@ class EpochSys {
   // ---- Table 2 API ----
 
   /// Register the calling thread in the current epoch and start tracking
-  /// its NVM writes. Returns the operation's epoch.
-  std::uint64_t beginOp();
+  /// its NVM writes. Returns the operation's epoch. A read envelope
+  /// (Access::kRead) only pins the blocks it reaches against
+  /// reclamation; a write in it reports kUnbalancedEpochOp (checked
+  /// build) or asserts.
+  std::uint64_t beginOp(Access access = Access::kUpdate);
 
   /// Schedule tracked writes for persistence and leave the epoch.
   void endOp();
@@ -319,7 +337,7 @@ class EpochSys {
   /// Ask the background advancer to start the next transition early,
   /// without waiting for it: Montage's sync() minus the wait. The
   /// transition starts once a tenth of the epoch length has passed since
-  /// the previous one completed, and concurrent requests coalesce into
+  /// the open epoch was published, and concurrent requests coalesce into
   /// it. Callers that need durability (kDurable acks) call this while
   /// they wait; the flush still runs on the advancer and its flusher
   /// pool. A no-op without a background advancer; while the advancer is
@@ -334,8 +352,9 @@ class EpochSys {
 
   /// Advance until everything buffered so far is durable and every block
   /// retired so far is reclaimed: two transitions. Callers must have
-  /// quiesced operations (the same rule as advance()). Used before
-  /// planned shutdown and by the space-accounting benchmarks.
+  /// quiesced operations (the same rule as advance()); a read envelope
+  /// left open keeps the blocks it can reach. Used before planned
+  /// shutdown and by the space-accounting benchmarks.
   void persist_all();
 
   void set_epoch_length_us(std::uint64_t us) {
@@ -583,6 +602,7 @@ class EpochSys {
   // in thread_locals so multiple EpochSys instances (tests) don't alias.
   struct ThreadState {
     std::uint64_t op_epoch = kInvalidEpoch;
+    bool op_read = false;  // the open envelope is a read envelope
     std::vector<TrackedRange> op_tracked;
     std::vector<void*> op_retired;
     // Ring of per-epoch buffers indexed by epoch % 4. Two slots are live
@@ -631,8 +651,13 @@ class EpochSys {
   /// `st`, so no transition follows an abandoned one.
   void advance(const std::stop_token& st, AdvanceCause cause);
   /// True (after reporting kUnbalancedEpochOp) when the calling thread
-  /// has an operation open, so a transition would wait on it forever.
+  /// has an update operation open, so a transition would wait on it
+  /// forever.
   bool waits_on_self(const char* site);
+  /// Reports kUnbalancedEpochOp (checked build) or asserts when `ts` has
+  /// a read envelope open: no transition waits for a reader, so a write
+  /// in one could miss its epoch's flush.
+  static void forbid_in_read(const ThreadState& ts, const char* site);
   /// Transition body; caller holds advance_mu_.
   void advance_locked(const std::stop_token& st, AdvanceCause cause);
   /// Background advancer: a transition per epoch length, or earlier on
@@ -644,10 +669,15 @@ class EpochSys {
 
   alloc::PAllocator& pa_;
   std::mutex advance_mu_;
-  // Retired blocks awaiting reclamation, indexed by retire-epoch % 4
-  // (the closing epoch's and its predecessor's are live); touched only
-  // under advance_mu_.
-  std::vector<void*> pending_free_[4];
+  // Retired blocks awaiting reclamation, one entry per retire epoch in
+  // epoch order (an open reader can hold back any number of them), and
+  // the emptied vectors kept for reuse; touched only under advance_mu_.
+  struct RetiredEpoch {
+    std::uint64_t epoch;
+    std::vector<void*> blocks;
+  };
+  std::deque<RetiredEpoch> pending_free_;
+  std::vector<std::vector<void*>> spare_free_;
   std::atomic<std::uint64_t> global_epoch_{kFirstEpoch};
   std::atomic<std::uint64_t> epoch_length_us_;
   std::unique_ptr<Padded<std::atomic<std::uint64_t>>[]> announce_;
@@ -668,12 +698,13 @@ class EpochSys {
   EpochStats stats_;
   RecoveryReport last_recovery_{};
 
-  // ---- Persistence-lag sampling ----
-  // Wallclock begin time of epoch i at slot i % 4; only the active
-  // epoch's and the closing epoch's are consulted, and the two spare
-  // slots give a lock-free reader two transitions before its slot is
-  // reused. Written at each publish (under advance_mu_), read lock-free
-  // by persistence_lag_ns().
+  // ---- Epoch clock and persistence-lag sampling ----
+  // Wallclock publish time of epoch i at slot i % 4; only the active
+  // epoch's (the advancer's clock) and the closing epoch's are
+  // consulted, and the two spare slots give a lock-free reader two
+  // transitions before its slot is reused. Written at each publish
+  // (under advance_mu_), read lock-free by the advancer and
+  // persistence_lag_ns().
   std::atomic<std::uint64_t> epoch_begin_ns_[4];
 
   // ---- Advancer watchdog ----
@@ -682,10 +713,11 @@ class EpochSys {
   std::atomic<std::uint64_t> last_transition_ns_{0};
 
   // ---- Advancer wake-up ----
-  // The advancer sleeps on wake_cv_ until the epoch length runs out or a
-  // request is pending and the advancer is not stalled. Both flags
-  // change only under wake_mu_, so no wake-up is lost; request_advance()
-  // reads advance_requested_ lock-free to skip a pending request.
+  // The advancer sleeps on wake_cv_ until the open epoch's length runs
+  // out or a request is pending; while it is stalled, it sleeps until the
+  // stall lifts. Both flags change only under wake_mu_, so no wake-up is
+  // lost; request_advance() reads advance_requested_ lock-free to skip a
+  // pending request.
   bool has_advancer_ = false;
   std::mutex wake_mu_;
   std::condition_variable_any wake_cv_;

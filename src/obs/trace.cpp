@@ -83,6 +83,7 @@ constexpr TypeInfo kTypes[static_cast<int>(TraceEventType::kNumTypes)] = {
     {"req.epoch", "req", "span", "epoch", false},
     {"req.ack", "req", "span", "status", false},
     {"req.durable", "req", "span", "release_epoch", true},
+    {"epoch.drain", "epoch", "epoch", "waited_on", true},
 };
 
 // fork() safety: the child inherits byte copies of every parent ring

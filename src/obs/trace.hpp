@@ -55,6 +55,8 @@ enum class TraceEventType : std::uint16_t {
                       //   became visible to the client (buffered ack)
   kReqDurable,        // complete; a=span id, b=release epoch — envelope
                       //   commit -> durable release (epoch wait)
+  kEpochDrain,        // complete; a=epoch drained, b=update operations
+                      //   the transition waited for (step 2)
   kNumTypes,
 };
 

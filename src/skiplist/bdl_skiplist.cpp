@@ -159,7 +159,9 @@ void BDLSkiplist::apply_batch(epoch::BatchOp* ops, std::size_t n) {
 
 std::optional<std::pair<std::uint64_t, std::uint64_t>> BDLSkiplist::successor(
     std::uint64_t key) {
-  es_.beginOp();
+  // A read envelope: it keeps the pair the walk lands on from being
+  // reclaimed (EBR keeps the towers), and no transition waits for it.
+  es_.beginOp(epoch::Access::kRead);
   std::optional<std::pair<std::uint64_t, std::uint64_t>> out;
   {
     EbrDomain::Guard g(base_->ebr());

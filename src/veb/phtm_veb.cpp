@@ -42,7 +42,9 @@ std::optional<std::uint64_t> PHTMvEB::find(std::uint64_t key) {
 std::optional<std::pair<std::uint64_t, std::uint64_t>> PHTMvEB::successor(
     std::uint64_t key) {
   using Out = std::optional<std::pair<std::uint64_t, std::uint64_t>>;
-  es_.beginOp();
+  // A read envelope: it keeps the pair the walk lands on from being
+  // reclaimed, and no transition waits for it.
+  es_.beginOp(epoch::Access::kRead);
   // A successor walk can cross cluster boundaries, so it has no bounded
   // stripe footprint: subscribe to everything.
   auto out = htm::elide<Out>(policy_, policy_.all(), [&](auto& acc) -> Out {

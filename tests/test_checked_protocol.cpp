@@ -333,6 +333,42 @@ TEST(CheckedProtocol, UnbalancedEpochOpTrapsTransitionInsideOp) {
   EXPECT_EQ(cap.hits.size(), 2u);
 }
 
+// No transition waits for a read envelope, so a write in one could miss
+// its epoch's flush: each writing call traps, and the envelope still
+// closes.
+TEST(CheckedProtocol, UnbalancedEpochOpTrapsWritesInReadEnvelope) {
+  SKIP_UNLESS_CHECKED();
+  Capture cap;
+  Env env(tiny());
+  env.es->beginOp();
+  void* p = env.es->pNew(16);
+  env.es->pTrack(p);
+  env.es->endOp();
+  const std::uint64_t v = 7;
+  env.es->beginOp(epoch::Access::kRead);
+  void* q = env.es->pNew(16);
+  env.es->pSet(p, &v, sizeof(v));
+  env.es->pTrack(p);
+  env.es->pRetire(p);
+  env.es->abortOp();
+  ASSERT_EQ(cap.hits.size(), 5u);
+  const char* sites[] = {"pNew", "pSet", "pTrack", "pRetire", "abortOp"};
+  for (std::size_t i = 0; i < cap.hits.size(); ++i) {
+    EXPECT_EQ(cap.hits[i].first, checked::Rule::kUnbalancedEpochOp);
+    EXPECT_NE(cap.hits[i].second.find(sites[i]), std::string::npos)
+        << cap.hits[i].second;
+    EXPECT_NE(cap.hits[i].second.find("read envelope"), std::string::npos);
+  }
+  EXPECT_FALSE(env.es->in_op());
+  // A read envelope with no write is clean, and a transition may run
+  // beside it.
+  env.es->beginOp(epoch::Access::kRead);
+  env.es->advance();
+  env.es->endOp();
+  env.es->pDelete(q);
+  EXPECT_EQ(cap.hits.size(), 5u);
+}
+
 // ---------------------------------------------------------------------------
 // no-obs-in-tx
 

@@ -196,6 +196,34 @@ TEST(Threading, IdsAreDenseAndStable) {
   EXPECT_EQ(max_thread_id_seen(), 5);
 }
 
+// The parts of a run claim indices from a shared cursor. Whichever
+// helpers start, every index is handled exactly once by the time run()
+// returns, and no helper enters a run after it returned.
+TEST(FlusherPool, ClaimedIndicesAreHandledExactlyOnce) {
+  FlusherPool pool(3);
+  std::atomic<int> open_run{-1};
+  std::atomic<int> late_parts{0};
+  for (int r = 0; r < 4000; ++r) {
+    const int parties = 1 + r % 4;
+    const std::size_t n = static_cast<std::size_t>(r % 61);
+    std::vector<std::atomic<int>> handled(n);
+    std::atomic<std::size_t> next{0};
+    open_run.store(r);
+    pool.run(parties, [&, r](int) {
+      if (open_run.load() != r) late_parts.fetch_add(1);
+      for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+        handled[i].fetch_add(1);
+      }
+    });
+    open_run.store(-1);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(handled[i].load(), 1)
+          << "run " << r << ", " << parties << " parties, index " << i;
+    }
+  }
+  EXPECT_EQ(late_parts.load(), 0);
+}
+
 // Destroying a pool right after building it races each helper's first
 // wait: a stop request and wakeup that land between the helper's
 // predicate check and its sleep are lost unless the destructor raises

@@ -329,6 +329,102 @@ TEST(EpochSys, BlockRetiredInClosingEpochOutlivesItsTransition) {
   EXPECT_EQ(env.es->stats().blocks_reclaimed.load(), reclaimed0 + 1);
 }
 
+// ---- Read envelopes ----
+
+TEST(EpochReaders, AdvancePersistsBesideAReaderInTheClosingEpoch) {
+  // A read envelope writes nothing, so the transition that closes its
+  // epoch does not wait for it: the epoch's writes become durable while
+  // the reader is still open.
+  Env env(tiny());
+  Helper reader;
+  const std::uint64_t e = env.es->current_epoch();
+  reader.run([&] {
+    EXPECT_EQ(env.es->beginOp(epoch::Access::kRead), e);
+  });
+  env.es->beginOp();
+  void* p = env.es->pNew(16);
+  const std::uint64_t v = 0xfeed;
+  env.es->pSet(p, &v, sizeof(v));
+  EpochSys::set_epoch_nontx(env.dev, p, e);
+  env.es->pTrack(p);
+  env.es->endOp();
+  std::atomic<bool> advanced{false};
+  std::thread adv([&] {
+    env.es->advance();
+    advanced.store(true);
+  });
+  const auto limit = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!advanced.load() && std::chrono::steady_clock::now() < limit) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool in_time = advanced.load();
+  reader.run([&] { env.es->endOp(); });  // frees a transition stuck on it
+  adv.join();
+  ASSERT_TRUE(in_time) << "advance() waited for a read envelope";
+  EXPECT_EQ(EpochSys::recovery_frontier(env.es->persisted_epoch()), e);
+  EXPECT_TRUE(env.dev.line_is_durable(p));
+}
+
+TEST(EpochReaders, ReaderHoldsBackReclamationUntilItLeaves) {
+  // X is retired in epoch r-1 and a reader announces in r: the reader
+  // may have found X before its unlink, so no transition frees X while
+  // the reader is open. The first transition after it leaves does.
+  Env env(tiny());
+  Helper reader;
+  env.es->beginOp();
+  void* x = env.es->pNew(16);
+  EpochSys::set_epoch_nontx(env.dev, x, env.es->current_epoch());
+  env.es->pTrack(x);
+  env.es->endOp();
+  env.es->advance();
+  env.es->beginOp();
+  env.es->pRetire(x);
+  env.es->endOp();
+  env.es->advance();
+  const std::uint64_t r = env.es->current_epoch();
+  reader.run([&] {
+    EXPECT_EQ(env.es->beginOp(epoch::Access::kRead), r);
+  });
+  const auto reclaimed0 = env.es->stats().blocks_reclaimed.load();
+  for (int i = 0; i < 4; ++i) {
+    env.es->advance();
+    EXPECT_EQ(PAllocator::header_of(x)->st(), BlockStatus::kDeleted)
+        << "reclaimed under an open reader, transition " << i;
+  }
+  EXPECT_EQ(env.es->stats().blocks_reclaimed.load(), reclaimed0);
+  reader.run([&] { env.es->endOp(); });
+  env.es->advance();
+  EXPECT_EQ(PAllocator::header_of(x)->st(), BlockStatus::kFree);
+  EXPECT_EQ(env.es->stats().blocks_reclaimed.load(), reclaimed0 + 1);
+}
+
+TEST(EpochReaders, ReaderAfterTheUnlinkHoldsNothingBack) {
+  // X is retired in epoch r-2, and a reader announces in r while the
+  // transition out of r-1 is held: it began after the unlink, so that
+  // transition frees X on the usual schedule beside it.
+  Env env(tiny());
+  Helper reader;
+  env.es->beginOp();
+  void* x = env.es->pNew(16);
+  EpochSys::set_epoch_nontx(env.dev, x, env.es->current_epoch());
+  env.es->pTrack(x);
+  env.es->endOp();
+  env.es->advance();
+  env.es->beginOp();
+  env.es->pRetire(x);
+  env.es->endOp();
+  env.es->advance();
+  {
+    const std::uint64_t r = env.es->current_epoch() + 1;
+    HeldTransition held(*env.es);
+    reader.run([&] {
+      EXPECT_EQ(env.es->beginOp(epoch::Access::kRead), r);
+    });
+  }
+  EXPECT_EQ(PAllocator::header_of(x)->st(), BlockStatus::kFree);
+  reader.run([&] { env.es->endOp(); });
+}
+
 TEST(EpochSys, BackgroundAdvancerMakesProgress) {
   Env env(tiny(), /*advancer=*/true);
   const auto e0 = env.es->current_epoch();
@@ -928,9 +1024,44 @@ bool advanced_past(const EpochSys& es, std::uint64_t floor,
   return true;
 }
 
+// Polls until the epoch reaches `target`; returns the first time it was
+// seen there.
+std::uint64_t published_at(const EpochSys& es, std::uint64_t target) {
+  while (es.current_epoch() < target) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return now_ns();
+}
+
+TEST(EpochClock, TimerCountsFromThePublish) {
+  // A straggler holds the timer transition out of e for about half an
+  // epoch. The next epoch still ends one epoch length after its own
+  // publish, not one epoch length after the slow transition completed.
+  nvm::Device dev(tiny());
+  PAllocator pa(dev);
+  constexpr std::uint64_t kLenNs = 200'000'000;
+  EpochSys es(pa, advancer_cfg(kLenNs / 1000));
+  std::uint64_t e = es.beginOp();
+  while (e != es.current_epoch()) {  // raced a transition: start again
+    es.endOp();
+    e = es.beginOp();
+  }
+  const std::uint64_t pub1 = published_at(es, e + 1);
+  std::this_thread::sleep_for(std::chrono::nanoseconds(kLenNs / 2));
+  es.endOp();
+  const std::uint64_t pub2 = published_at(es, e + 2);
+  const std::uint64_t gap = pub2 - pub1;
+  EXPECT_GE(gap, kLenNs * 9 / 10) << "the timer ended the epoch early";
+  EXPECT_LT(gap, kLenNs * 5 / 4)
+      << "the epoch after a slow transition ran " << gap / 1000
+      << " us, not one epoch length from its publish";
+  // The drain the straggler caused shows in the drain histogram.
+  EXPECT_GE(es.stats().drain_ns.max(), kLenNs * 2 / 5);
+}
+
 TEST(EpochDemand, ConstantRequestsNeverBeatTheGap) {
-  // Every transition starts at least epoch_length / 10 after the previous
-  // one completed, so any window W holds at most W / gap + 1 of them.
+  // Every transition publishes at least epoch_length / 10 after the
+  // previous publish, so any window W holds at most W / gap + 1 of them.
   nvm::Device dev(tiny());
   PAllocator pa(dev);
   constexpr std::uint64_t kEpochUs = 20'000;
@@ -953,14 +1084,14 @@ TEST(EpochDemand, ConstantRequestsNeverBeatTheGap) {
   while (now_ns() < t_end) {
     Sample smp;
     smp.t_before = now_ns();
-    smp.epochs = es.stats().epochs_advanced.load();
+    smp.epochs = es.current_epoch();
     smp.t_after = now_ns();
     samples.push_back(smp);
     std::this_thread::sleep_for(std::chrono::microseconds(500));
   }
   stop.store(true);
   requester.join();
-  // The transitions counted between samples i and j completed inside
+  // The publishes counted between samples i and j happened inside
   // [t_before_i, t_after_j].
   for (std::size_t i = 0; i < samples.size(); ++i) {
     for (std::size_t j = i + 1; j < samples.size(); ++j) {
@@ -983,29 +1114,38 @@ TEST(EpochDemand, NoAdvancerIgnoresRequests) {
 }
 
 TEST(EpochDemand, StalledAdvancerKeepsRequestPendingWithoutSpinning) {
-  nvm::Device dev(tiny());
-  PAllocator pa(dev);
-  EpochSys es(pa, advancer_cfg(2'000'000));
-  es.stall_advancer_for_testing(true);
-  const std::uint64_t e0 = es.stats().epochs_advanced.load();
-  es.request_advance();
-  // A pending request must not wake a stalled advancer in a loop: the
-  // process stays (nearly) idle while the request waits.
-  const std::uint64_t cpu0 = process_cpu_ns();
-  const std::uint64_t wall0 = now_ns();
-  for (int i = 0; i < 100; ++i) {
+  // With a 2 s epoch the stall ends before the epoch would; with a 1 ms
+  // epoch the open epoch is long overdue for the whole stall.
+  for (const std::uint64_t len_us : {2'000'000, 1'000}) {
+    SCOPED_TRACE("epoch length " + std::to_string(len_us) + " us");
+    nvm::Device dev(tiny());
+    PAllocator pa(dev);
+    EpochSys es(pa, advancer_cfg(len_us));
+    es.stall_advancer_for_testing(true);
+    // A transition that was running when the stall began finishes.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::uint64_t e0 = es.stats().epochs_advanced.load();
     es.request_advance();
-    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    // Neither a pending request nor a passed deadline may wake a stalled
+    // advancer in a loop: the process stays (nearly) idle meanwhile.
+    const std::uint64_t cpu0 = process_cpu_ns();
+    const std::uint64_t wall0 = now_ns();
+    for (int i = 0; i < 100; ++i) {
+      es.request_advance();
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    }
+    const std::uint64_t cpu = process_cpu_ns() - cpu0;
+    const std::uint64_t wall = now_ns() - wall0;
+    EXPECT_LT(cpu, wall / 2) << "a stalled advancer is spinning";
+    EXPECT_EQ(es.stats().epochs_advanced.load(), e0);
+    // Lifting the stall serves the pending request well before a 2 s
+    // epoch length runs out; an overdue epoch ends on the timer.
+    es.stall_advancer_for_testing(false);
+    ASSERT_TRUE(advanced_past(es, e0, std::chrono::milliseconds(1500)));
+    if (len_us > 1'000'000) {
+      EXPECT_EQ(es.stats().demand_advances.load(), 1u);
+    }
   }
-  const std::uint64_t cpu = process_cpu_ns() - cpu0;
-  const std::uint64_t wall = now_ns() - wall0;
-  EXPECT_LT(cpu, wall / 2) << "a stalled advancer is spinning";
-  EXPECT_EQ(es.stats().epochs_advanced.load(), e0);
-  // Lifting the stall serves the pending request well before the 2 s
-  // epoch length runs out.
-  es.stall_advancer_for_testing(false);
-  ASSERT_TRUE(advanced_past(es, e0, std::chrono::milliseconds(1500)));
-  EXPECT_EQ(es.stats().demand_advances.load(), 1u);
 }
 
 TEST(EpochDemand, ConcurrentRequestsCoalesce) {
