@@ -552,6 +552,7 @@ void EpochSys::advance_locked(const std::stop_token& st,
     root()->integrity = root_tag(e + 2);
     dev.mark_dirty(root(), sizeof(PersistentRoot));
   }
+  ring_persist_bell();
 
   // Persistence-lag accounting: epoch e just became durable; its age
   // (now - its begin) is one sample of how stale a crash at this instant

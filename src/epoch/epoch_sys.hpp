@@ -33,7 +33,8 @@
 //   3. flush every write buffered in epoch e and the DELETED headers of
 //      blocks retired in e;
 //   4. persist the epoch counter as e+2, which makes e durable (the
-//      counter names the recovery frontier + 2, see recovery_frontier);
+//      counter names the recovery frontier + 2, see recovery_frontier),
+//      and ring the persist bell for threads sleeping until then;
 //   5. reclaim the blocks retired in each epoch x <= e-1 that no open
 //      reader can still reach: every update operation that could ran in
 //      an epoch <= e, and step 2 waited for those; a reader announced at
@@ -569,6 +570,20 @@ class EpochSys {
 
   std::uint64_t persisted_epoch() const;
 
+  /// A wake-up word rung after every persisted counter. A thread that
+  /// waits for durability and for events of its own sleeps on it with
+  /// std::atomic::wait, and the producers of those events ring it too
+  /// (KVStore's idle workers: a submit rings it). Read the word before
+  /// checking persisted_epoch(): a counter persisted after that check
+  /// moves the word past the value read, so the wait returns.
+  const std::atomic<std::uint32_t>& persist_bell() const {
+    return persist_bell_;
+  }
+  void ring_persist_bell() {
+    persist_bell_.fetch_add(1, std::memory_order_release);
+    persist_bell_.notify_all();
+  }
+
   /// Wallclock age of the oldest buffered-but-not-yet-durable epoch
   /// (persisted counter p means epochs <= p-2 are durable, so p-1 is the
   /// oldest epoch whose buffered writes could still be lost by a crash:
@@ -723,6 +738,7 @@ class EpochSys {
   std::condition_variable_any wake_cv_;
   std::atomic<bool> advance_requested_{false};
   std::atomic<bool> advancer_stalled_{false};  // test hook
+  alignas(kCacheLineSize) std::atomic<std::uint32_t> persist_bell_{0};
 
   std::jthread advancer_;  // last member: joins before the rest dies
 };

@@ -65,6 +65,8 @@ KVStore::KVStore(epoch::EpochSys& es, const KVStoreConfig& cfg)
     queues_.push_back(
         std::make_unique<SpscQueue<Request*>>(cfg_.queue_capacity));
   }
+  asleep_ = std::make_unique<Padded<std::atomic<bool>>[]>(
+      static_cast<std::size_t>(cfg_.workers));
   if (cfg_.start_workers) {
     for (int w = 0; w < cfg_.workers; ++w) {
       workers_.emplace_back([this, w] { worker_main(w); });
@@ -107,7 +109,14 @@ bool KVStore::submit(int client, Request* req) {
   // closed_ — so a push that raced past the final sweep is caught here
   // and swept by the submitter itself (the workers are gone by then, and
   // close_mu_ serializes against close(), so SPSC consumption holds).
+  // The same fence pairs with sleep_until_work: either the owning worker
+  // sees this push before it sleeps, or this sees it asleep and wakes it.
   std::atomic_thread_fence(std::memory_order_seq_cst);
+  auto& asleep = asleep_[client % cfg_.workers].value;
+  if (asleep.load(std::memory_order_relaxed) &&
+      asleep.exchange(false, std::memory_order_relaxed)) {
+    es_.ring_persist_bell();
+  }
   if (closed_.load(std::memory_order_relaxed)) {
     std::lock_guard<std::mutex> g(close_mu_);
     if (swept_) reject_queue(q);
@@ -284,6 +293,7 @@ void KVStore::release_parked(WorkerCtx& ctx, bool force_advance) {
     const std::uint64_t p = es_.persisted_epoch();
     std::size_t kept = 0;
     bool sampled = false;
+    ctx.next_release = ~std::uint64_t{0};
     for (auto& pk : ctx.parked) {
       if (p >= pk.release_epoch) {
         if (!sampled) {
@@ -306,6 +316,7 @@ void KVStore::release_parked(WorkerCtx& ctx, bool force_advance) {
         }
         resolve(pk.req);
       } else {
+        ctx.next_release = std::min(ctx.next_release, pk.release_epoch);
         ctx.parked[kept++] = pk;
       }
     }
@@ -326,9 +337,29 @@ void KVStore::release_parked(WorkerCtx& ctx, bool force_advance) {
   }
 }
 
+void KVStore::sleep_until_work(int w, const WorkerCtx& ctx) {
+  // The bell is read first: a persist or a submit that rings it after
+  // the checks below moves it past `seen`, so the wait returns at once.
+  const std::uint32_t seen = es_.persist_bell().load(std::memory_order_acquire);
+  auto& asleep = asleep_[w].value;
+  asleep.store(true, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_seq_cst);  // pairs with submit
+  bool work = closed_.load(std::memory_order_relaxed) ||
+              (!ctx.parked.empty() &&
+               es_.persisted_epoch() >= ctx.next_release);
+  for (int c = w; !work && c < cfg_.clients; c += cfg_.workers) {
+    work = !queues_[c]->empty();
+  }
+  if (!work) {
+    es_.persist_bell().wait(seen, std::memory_order_acquire);
+  }
+  asleep.store(false, std::memory_order_relaxed);
+}
+
 void KVStore::worker_main(int w) {
   WorkerCtx ctx;
   ctx.by_shard.resize(shards_.size());
+  int idle = 0;
   for (;;) {
     bool any = false;
     for (int c = w; c < cfg_.clients; c += cfg_.workers) {
@@ -378,7 +409,18 @@ void KVStore::worker_main(int w) {
         release_parked(ctx, /*force_advance=*/true);
         break;
       }
-      std::this_thread::yield();
+      // Spin a little, then sleep. A worker that only yields keeps its
+      // core busy, so every thread woken on that core (a client, the
+      // epoch advancer) waits behind it, or behind whatever the
+      // scheduler placed there, for up to a scheduler tick.
+      if (++idle < kIdleSpins) {
+        std::this_thread::yield();
+      } else {
+        idle = 0;
+        sleep_until_work(w, ctx);
+      }
+    } else {
+      idle = 0;
     }
   }
 }
@@ -403,6 +445,7 @@ void KVStore::sweep_rejected() {
 void KVStore::close() {
   closed_.store(true, std::memory_order_seq_cst);
   std::atomic_thread_fence(std::memory_order_seq_cst);
+  es_.ring_persist_bell();  // wake sleeping workers to drain and exit
   // Everything after the closed_ publication happens under close_mu_, so
   // a second concurrent close() simply queues behind the first and
   // returns once the drain is complete (idempotent: joined_/swept_ flags

@@ -8,8 +8,10 @@
 // queues they own, group the operations by shard, and execute each
 // per-shard group as ONE elided transaction under ONE beginOp/endOp
 // envelope (epoch/batch.hpp), amortizing both the HTM and the epoch
-// registration cost across the batch. Results release to clients
-// according to the ReleasePolicy:
+// registration cost across the batch. A worker with nothing to run
+// sleeps on the epoch system's persist bell: a submit to one of its
+// queues, a persisted counter and close() wake it. Results release to
+// clients according to the ReleasePolicy:
 //   kBuffered - as soon as the batch commits (the paper's §3 buffered
 //               guarantee: a crash may roll acknowledged operations back
 //               to an epoch-consistent prefix);
@@ -227,9 +229,16 @@ class KVStore {
     std::vector<epoch::BatchOp> ops;
     std::vector<Request*> reqs;
     std::vector<Parked> parked;
+    std::uint64_t next_release = 0;  // lowest release_epoch in parked
   };
 
+  /// Idle passes (each a yield) a worker makes before it sleeps.
+  static constexpr int kIdleSpins = 64;
+
   void worker_main(int w);
+  /// Sleep until worker w may have work: a submit to one of its queues,
+  /// close(), or a persisted counter that can release a parked request.
+  void sleep_until_work(int w, const WorkerCtx& ctx);
   /// Execute reqs[0..m) against shard s in batched envelopes.
   void execute_shard_batch(int s, WorkerCtx& ctx, std::size_t m);
   void resolve(Request* req);
@@ -244,6 +253,9 @@ class KVStore {
   std::vector<std::unique_ptr<ShardIndex>> shards_;
   std::vector<std::unique_ptr<SpscQueue<Request*>>> queues_;
   std::vector<std::thread> workers_;
+  // Set while worker w sleeps on the epoch system's persist bell; a
+  // submit to one of its queues clears it and rings the bell.
+  std::unique_ptr<Padded<std::atomic<bool>>[]> asleep_;
   std::atomic<bool> closed_{false};
   bool joined_ = false;
   // Cold-path handshake for submits racing close(): a push that lands

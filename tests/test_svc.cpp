@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <ctime>
 #include <map>
 #include <memory>
 #include <optional>
@@ -15,6 +16,7 @@
 
 #include "bdl_world.hpp"
 #include "common/rng.hpp"
+#include "common/spin.hpp"
 #include "svc/queue.hpp"
 
 namespace bdhtm {
@@ -402,6 +404,85 @@ TEST(Svc, BufferedStoreRequestsNoTransition) {
   // Only the 1 s timer may move the epoch: at most once in 300 ms.
   EXPECT_LE(w.es->stats().epochs_advanced.load() - e0, 1u);
   EXPECT_EQ(w.es->stats().demand_advances.load(), 0u);
+}
+
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return double(ts.tv_sec) + double(ts.tv_nsec) / 1e9;
+}
+
+TEST(Svc, IdleWorkersSleep) {
+  // Workers with nothing queued sleep instead of yielding in a loop: two
+  // spinning workers would burn ~0.6 s of CPU in this 300 ms.
+  World w = live_world();
+  svc::KVStoreConfig cfg = small_cfg(svc::Backend::kHash);
+  cfg.workers = 2;
+  cfg.clients = 2;
+  svc::KVStore store(*w.es, cfg);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const double cpu0 = process_cpu_s();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_LT(process_cpu_s() - cpu0, 0.1);
+  // A submit wakes the owning worker.
+  EXPECT_EQ(store.put(1, 5, 50).status, svc::Status::kOk);
+  EXPECT_EQ(store.get(0, 5).value, 50u);
+}
+
+TEST(Svc, SubmitWakesASleepingWorker) {
+  // Three clients on two workers submit with pauses that let the workers
+  // fall asleep between requests. With a 10 s epoch nothing but a submit
+  // wakes a worker, so a lost wake-up shows as a request taking seconds.
+  World w = live_world(/*epoch_length_us=*/10'000'000);
+  svc::KVStoreConfig cfg = small_cfg(svc::Backend::kHash);
+  cfg.workers = 2;
+  cfg.clients = 3;
+  svc::KVStore store(*w.es, cfg);
+  std::atomic<bool> stalled{false};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < cfg.clients; ++c) {
+    clients.emplace_back([&, c] {
+      Rng rng(static_cast<std::uint64_t>(c) + 1);
+      for (int i = 0; i < 1500 && !stalled.load(); ++i) {
+        const std::uint64_t t0 = now_ns();
+        EXPECT_EQ(store.put(c, rng.next_below(256), 1).status,
+                  svc::Status::kOk);
+        if (now_ns() - t0 > 1'000'000'000) stalled.store(true);
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(rng.next_below(200)));
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_FALSE(stalled.load()) << "a put waited over 1 s for its worker";
+}
+
+TEST(Svc, PersistWakesASleepingWorker) {
+  // A worker holding a parked kDurable release sleeps until a transition
+  // persists its epoch. Epochs advance by hand here, and each advance
+  // comes after the worker has had time to fall asleep.
+  World w(test::strict_device(), test::replayable_epochs());
+  svc::KVStoreConfig cfg = small_cfg(svc::Backend::kHash);
+  cfg.release = svc::ReleasePolicy::kDurable;
+  std::vector<svc::Request> reqs(20);  // outlives the store's drain
+  svc::KVStore store(*w.es, cfg);
+  for (std::uint64_t k = 0; k < reqs.size(); ++k) {
+    svc::Request& r = reqs[k];
+    r = svc::Request::put(k, k + 1);
+    ASSERT_TRUE(store.submit(0, &r));
+    while (store.batches_total() == k) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    w.es->advance();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (r.state.load() != svc::Request::kDone &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(r.state.load(), svc::Request::kDone) << "round " << k;
+    EXPECT_GE(w.es->persisted_epoch(), r.complete_epoch + 2);
+  }
+  store.close();
 }
 
 TEST(Svc, SubmitShutdownRace) {
